@@ -60,21 +60,22 @@ void RunPlan(benchmark::State& state, bool la_aware) {
       state.SkipWithError(rs.status().ToString().c_str());
       break;
     }
+    const QueryMetrics& m = rs->statements.back().metrics;
     size_t bytes_out = 0;
-    for (const auto& op : db.last_metrics().operators) {
+    for (const auto& op : m.operators) {
       bytes_out += op.bytes_out;
     }
     const double shuffled =
-        static_cast<double>(db.last_metrics().TotalBytesShuffled());
+        static_cast<double>(m.TotalBytesShuffled());
     // SimSQL is Hadoop-based: every operator boundary is materialized
     // to disk between MR jobs, so intermediate volume is the §4.1
     // cost. Model disk at ~100 MiB/s per worker on 2009-era EC2.
     constexpr double kDiskBytesPerSecond = 100.0 * 1024 * 1024;
     const double cluster_s =
-        db.last_metrics().SimulatedParallelSeconds() +
+        m.SimulatedParallelSeconds() +
         shuffled / (kShuffleBytesPerSecond * kWorkers) +
         static_cast<double>(bytes_out) / (kDiskBytesPerSecond * kWorkers);
-    state.SetIterationTime(db.last_metrics().wall_seconds);
+    state.SetIterationTime(m.wall_seconds);
     state.counters["intermediateMB"] =
         static_cast<double>(bytes_out) / (1024.0 * 1024.0);
     state.counters["shuffledMB"] = shuffled / (1024.0 * 1024.0);
@@ -85,7 +86,7 @@ void RunPlan(benchmark::State& state, bool la_aware) {
                 la_aware ? "LA-aware plan:" : "size-oblivious plan:",
                 static_cast<double>(bytes_out) / (1024.0 * 1024.0),
                 shuffled / (1024.0 * 1024.0),
-                db.last_metrics().wall_seconds, cluster_s);
+                m.wall_seconds, cluster_s);
   }
 }
 

@@ -90,6 +90,6 @@ int main() {
   std::printf("result tiles: %zu, max |SQL - dense| = %.3g\n",
               rs->last().num_rows(), assembled->MaxAbsDiff(*expected));
   std::printf("\nexecution metrics:\n%s",
-              db.last_metrics().ToString().c_str());
+              rs->statements.back().metrics.ToString().c_str());
   return 0;
 }

@@ -84,6 +84,6 @@ int main() {
   }
 
   std::printf("\nquery ran over %zu points; per-operator metrics:\n%s", kN,
-              db.last_metrics().ToString().c_str());
+              rs->statements.back().metrics.ToString().c_str());
   return 0;
 }

@@ -68,18 +68,17 @@ int main() {
     buffer.clear();
     if (!rs.ok()) {
       std::cout << rs.status() << "\n";
-    } else if (!rs->has_results()) {
-      std::cout << "OK\n";
-      if (show_metrics) {
-        std::cout << db.last_metrics().ToString();
-      }
     } else {
-      if (rs->last().num_columns() > 0) {
-        std::cout << rs->last().ToString(50);
+      if (!rs->has_results()) {
+        std::cout << "OK\n";
+      } else {
+        if (rs->last().num_columns() > 0) {
+          std::cout << rs->last().ToString(50);
+        }
+        std::cout << "(" << rs->last().num_rows() << " rows)\n";
       }
-      std::cout << "(" << rs->last().num_rows() << " rows)\n";
-      if (show_metrics) {
-        std::cout << db.last_metrics().ToString();
+      if (show_metrics && !rs->statements.empty()) {
+        std::cout << rs->statements.back().metrics.ToString();
       }
     }
     std::cout << "radb> " << std::flush;

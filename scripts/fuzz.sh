@@ -39,7 +39,8 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
 # multi-session bench smoke under ASan+UBSan (scripts/stress.sh runs
 # the same label under TSan).
 cmake --build "$BUILD_DIR" -j "$JOBS" \
-  --target service_test cancel_test systab_test ablation_concurrency
+  --target service_test cancel_test exec_context_test systab_test \
+  ablation_concurrency
 (cd "$BUILD_DIR" && ctest -L concurrency --output-on-failure)
 
 # Observability pass: system tables, telemetry ring, exporter — the
@@ -69,7 +70,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target cache_test ablation_cache
 # scans) and the fuzzer's close-reopen-compare rounds — page-file and
 # WAL framing code is pointer-heavy, so ASan+UBSan is its first line
 # of defense (scripts/stress.sh runs the same label under TSan).
-cmake --build "$BUILD_DIR" -j "$JOBS" --target persist_test
+cmake --build "$BUILD_DIR" -j "$JOBS" --target persist_test ablation_storage
 (cd "$BUILD_DIR" && ctest -L storage --output-on-failure)
 "$BUILD_DIR/bench/fuzz_queries" --queries 0 --reopen 8 --seed "$SEED"
 
@@ -78,5 +79,5 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target persist_test
 # workload — pointer-walking CSR merge loops are classic off-by-one
 # territory, so ASan+UBSan runs the whole label (scripts/stress.sh
 # runs the same label under TSan).
-cmake --build "$BUILD_DIR" -j "$JOBS" --target sparse_test
+cmake --build "$BUILD_DIR" -j "$JOBS" --target sparse_test ablation_sparse
 (cd "$BUILD_DIR" && ctest -L sparse --output-on-failure)

@@ -2,7 +2,8 @@
 # Concurrency stress campaign under ThreadSanitizer:
 # configures a dedicated build tree with -DRADB_SANITIZE=thread, runs
 # the concurrency-labeled ctest suites (service admission/sessions,
-# cancellation/deadlines, the multi-session spill regression, and the
+# cancellation/deadlines, the multi-session spill regression, the
+# per-query execution context across concurrent Databases, and the
 # ablation_concurrency smoke — every result cross-checked bit-for-bit
 # against single-session execution), then a multi-session
 # differential-fuzzer round: 4 concurrent service sessions replaying
@@ -22,9 +23,10 @@ cmake -S "$(dirname "$0")/.." -B "$BUILD_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRADB_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$JOBS" \
-  --target service_test cancel_test systab_test vectorized_test \
+  --target service_test cancel_test exec_context_test systab_test \
+  vectorized_test \
   cache_test persist_test sparse_test ablation_concurrency ablation_cache \
-  fuzz_queries
+  ablation_storage ablation_sparse fuzz_queries
 
 # halt_on_error so a race report fails the run instead of scrolling by.
 # die_after_fork=0: the storage crash-recovery battery forks children
@@ -58,9 +60,10 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:die_after_fork=0}"
 # label scripts/fuzz.sh runs under ASan).
 (cd "$BUILD_DIR" && ctest -L storage --output-on-failure)
 
-# Sparse suite: the multiply dispatch counters are process-global
-# atomics updated from every worker thread, and the sparse kernels run
-# inside the parallel pipeline — the bit-identity assertions double as
+# Sparse suite: the multiply dispatch counters live in each
+# Database's registry and are updated from every worker thread through
+# the ambient execution context, and the sparse kernels run inside the
+# parallel pipeline — the bit-identity assertions double as
 # race detectors (same label scripts/fuzz.sh runs under ASan).
 (cd "$BUILD_DIR" && ctest -L sparse --output-on-failure)
 

@@ -12,7 +12,6 @@
 #include "common/string_util.h"
 #include "exec/executor.h"
 #include "exec/expr_eval.h"
-#include "la/sparse/sparse.h"
 #include "mem/memory_tracker.h"
 #include "obs/metrics_registry.h"
 #include "mem/spill_file.h"
@@ -218,24 +217,11 @@ Database::Database(const Config& config)
     }
   }
   pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-  // Install as the process-global pool so the LA kernels — free
-  // functions with no path to a Database — parallelize over the same
-  // threads (and stay sequential when invoked from inside an already
-  // parallel executor loop). The scoped install removes this entry
-  // from anywhere in the registration stack at destruction, so two
-  // live Databases can be torn down in any order without one
-  // resurrecting the other's freed pool.
-  InstallGlobalPool(pool_.get());
-  la::sparse::DispatchPolicy::Set(config_.sparse.auto_dispatch,
-                                  config_.sparse.density_threshold);
   if (config_.obs.enable_tracing || !config_.obs.trace_path.empty()) {
     tracer_ = std::make_unique<obs::Tracer>();
   }
   if (config_.obs.enable_metrics || !config_.obs.metrics_path.empty()) {
     metrics_registry_ = std::make_unique<obs::MetricsRegistry>();
-    // Install as the process-global registry so call sites with no
-    // path to a Database (LA kernels, storage I/O) report here too.
-    obs::InstallGlobalMetrics(metrics_registry_.get());
   }
   // Contention profiling: every retired pool region reports its
   // startup wait (submission -> first index claim, i.e. time the
@@ -295,8 +281,6 @@ Database::~Database() {
   // metrics registry (whose counters the store holds) is still alive.
   if (store_ != nullptr) (void)store_->Close();
   if (exporter_ != nullptr) exporter_->StopSampler();
-  obs::UninstallGlobalMetrics(metrics_registry_.get());
-  UninstallGlobalPool(pool_.get());
 }
 
 Status Database::Config::Validate(bool persistent) const {
@@ -357,6 +341,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& path,
   }
   RADB_RETURN_NOT_OK(config.Validate(/*persistent=*/true));
   auto db = std::make_unique<Database>(config);
+  ScopedExecContext context(db->OwnContext());
   storage::TableStore::Options so;
   so.data_dir = path;
   so.page_size = config.storage.page_size;
@@ -374,6 +359,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& path,
 
 Status Database::Checkpoint() {
   if (store_ == nullptr) return Status::OK();
+  ScopedExecContext context(OwnContext());
   return store_->Checkpoint();
 }
 
@@ -407,6 +393,7 @@ Status Database::BulkInsert(const std::string& table, std::vector<Row> rows) {
     return Status::CatalogError("system table " + ToLower(table) +
                                 " is read-only");
   }
+  ScopedExecContext context(OwnContext());
   RADB_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, catalog_.GetTable(table));
   RADB_RETURN_NOT_OK(LogMutation(
       [&](storage::TableStore& s) { return s.LogInsert(t->name(), rows); }));
@@ -415,19 +402,12 @@ Status Database::BulkInsert(const std::string& table, std::vector<Row> rows) {
   return Status::OK();
 }
 
-obs::ObsContext Database::QueryObs(const QueryOptions& options) {
-  obs::ObsContext obs = obs_context();
-  if (!options.trace) obs.tracer = nullptr;
-  if (!options.collect_metrics) obs.metrics = nullptr;
-  return obs;
-}
-
 Result<ResultSet> Database::RunSelect(const parser::SelectStmt& stmt,
                                       const QueryOptions& options,
                                       QueryStats* stats,
                                       obs::QueryRecord* record,
                                       const std::string* cache_key) {
-  const obs::ObsContext obs = QueryObs(options);
+  const obs::ObsContext obs = obs_context();
   const size_t budget = options.memory_budget_bytes != 0
                             ? options.memory_budget_bytes
                             : config_.memory_budget_bytes;
@@ -510,12 +490,10 @@ Result<ResultSet> Database::RunSelect(const parser::SelectStmt& stmt,
     }
   }
 
-  QueryStats local_stats;
-  QueryStats* st = stats != nullptr ? stats : &local_stats;
-  RADB_ASSIGN_OR_RETURN(
-      ResultSet rs, ExecutePlanRows(*plan, out_columns, options, st, record));
+  RADB_ASSIGN_OR_RETURN(ResultSet rs, ExecutePlanRows(*plan, out_columns,
+                                                      options, stats, record));
   if (cache_key != nullptr && result_cacheable) {
-    MaybeCacheResult(*cache_key, rs, deps, st->peak_memory_bytes);
+    MaybeCacheResult(*cache_key, rs, deps, stats->peak_memory_bytes);
   }
   return rs;
 }
@@ -539,7 +517,7 @@ Result<ResultSet> Database::ExecutePlanRows(
     const LogicalOp& plan, const std::vector<SlotInfo>& out_columns,
     const QueryOptions& options, QueryStats* stats,
     obs::QueryRecord* record) {
-  const obs::ObsContext obs = QueryObs(options);
+  const obs::ObsContext obs = obs_context();
   // Per-query memory governance: a fresh root tracker per SELECT, so
   // a ResourceExhausted query releases everything it charged and the
   // next query starts from a clean slate. Budget 0 = unlimited (the
@@ -548,56 +526,30 @@ Result<ResultSet> Database::ExecutePlanRows(
   const size_t budget = options.memory_budget_bytes != 0
                             ? options.memory_budget_bytes
                             : config_.memory_budget_bytes;
-  const uint64_t query_id =
-      options.query_id != 0
-          ? options.query_id
-          : next_query_id_.fetch_add(1, std::memory_order_relaxed);
   mem::MemoryTracker tracker("query", budget, options.memory_parent,
                              obs.metrics);
-  MemoryContext mem{&tracker, config_.spill_dir, query_id,
+  MemoryContext mem{&tracker, config_.spill_dir, options.query_id,
                     options.cancellation.get()};
-  std::unique_ptr<ThreadPool> tmp_pool;
-  ThreadPool* pool = pool_.get();
-  if (options.num_threads_override != 0 &&
-      options.num_threads_override != pool_->num_threads()) {
-    tmp_pool = std::make_unique<ThreadPool>(options.num_threads_override);
-    pool = tmp_pool.get();
-  }
-
-  // Execution writes into a per-call QueryMetrics: concurrent
-  // sessions must never share mid-flight metrics state. The finished
-  // snapshot is copied to the legacy last_* accessors at the end.
-  QueryMetrics qm;
+  // Execution writes into this statement's own QueryMetrics, so
+  // concurrent sessions never share mid-flight metrics state.
+  QueryMetrics& qm = stats->metrics;
   const auto t0 = std::chrono::steady_clock::now();
   Dist dist;
   {
     obs::ScopedSpan exec_span(obs.tracer, "execute", "pipeline");
     PhaseTimer exec_timer(record, obs::QueryPhase::kExecute);
-    Executor executor(cluster_, &qm, obs, pool, mem,
+    Executor executor(cluster_, &qm, obs, CurrentExecContext().pool, mem,
                       ExecOptions{config_.enable_vectorized,
                                   config_.vectorized_batch_rows});
     auto result = executor.Execute(plan);
-    const size_t spill = tracker.spill_bytes();
-    const size_t peak = tracker.peak_bytes();
-    if (stats != nullptr) {
-      stats->spill_bytes = spill;
-      stats->peak_memory_bytes = peak;
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      last_spill_bytes_ = spill;
-      last_peak_bytes_ = peak;
-    }
+    stats->spill_bytes = tracker.spill_bytes();
+    stats->peak_memory_bytes = tracker.peak_bytes();
     AppendOperatorRecords(qm, record);
     RADB_ASSIGN_OR_RETURN(dist, std::move(result));
   }
   qm.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    last_metrics_ = std::move(qm);
-  }
 
   PhaseTimer serialize_timer(record, obs::QueryPhase::kSerialize);
   ResultSet rs;
@@ -622,7 +574,7 @@ Result<ResultSet> Database::RunExecutePrepared(const parser::Statement& stmt,
                                                const QueryOptions& options,
                                                QueryStats* stats,
                                                obs::QueryRecord* record) {
-  const obs::ObsContext obs = QueryObs(options);
+  const obs::ObsContext obs = obs_context();
   const std::string name = ToLower(stmt.relation_name);
   std::shared_ptr<PreparedStatement> prep;
   {
@@ -765,7 +717,7 @@ std::optional<ScriptResult> Database::ExecuteCachedOnly(
   if (!script.statements.empty()) {
     script.statements.front().wall_seconds = serve_micros * 1e-6;
   }
-  if (metrics_registry_ != nullptr && options.collect_metrics) {
+  if (metrics_registry_ != nullptr) {
     metrics_registry_->Add("cache.result_hits",
                            static_cast<int64_t>(hits.size()));
   }
@@ -803,6 +755,16 @@ Result<ScriptResult> Database::Execute(const std::string& sql,
   if (opts.query_id == 0) {
     opts.query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
   }
+  // The call's kernels run on its pool (the override pool, if asked
+  // for) and report into this Database's registry.
+  ExecContext context = OwnContext(opts.query_id);
+  std::unique_ptr<ThreadPool> override_pool;
+  if (opts.num_threads_override != 0 &&
+      opts.num_threads_override != pool_->num_threads()) {
+    override_pool = std::make_unique<ThreadPool>(opts.num_threads_override);
+    context.pool = override_pool.get();
+  }
+  ScopedExecContext scope(context);
   obs::QueryRecord record;
   record.query_id = opts.query_id;
   record.session_id = opts.session_id;
@@ -830,14 +792,6 @@ Result<ScriptResult> Database::Execute(const std::string& sql,
       record.peak_memory_bytes =
           std::max(record.peak_memory_bytes,
                    static_cast<int64_t>(s.peak_memory_bytes));
-    }
-    // The legacy last_* accessors report exactly the ScriptResult
-    // aggregation (spill summed over statements, peak maxed), so both
-    // views of the same call always agree.
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      last_spill_bytes_ = static_cast<size_t>(record.spill_bytes);
-      last_peak_bytes_ = static_cast<size_t>(record.peak_memory_bytes);
     }
   }
   RecordQueryTelemetry(std::move(record));
@@ -878,10 +832,8 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
                                              const QueryOptions& options,
                                              obs::QueryRecord* record) {
   const QueryOptions& opts = options;
-  if (tracer_ != nullptr && opts.trace) {
-    tracer_->Clear();  // trace covers the last call
-  }
-  const obs::ObsContext obs = QueryObs(opts);
+  if (tracer_ != nullptr) tracer_->Clear();  // trace covers the last call
+  const obs::ObsContext obs = obs_context();
   obs::ScopedSpan query_span(obs.tracer, "query", "pipeline");
   query_span.AddArg("sql", sql);
   std::vector<parser::Statement> stmts;
@@ -915,11 +867,6 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
       RADB_RETURN_NOT_OK(opts.cancellation->Check());
     }
     const auto stmt_t0 = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      last_spill_bytes_ = 0;
-      last_peak_bytes_ = 0;
-    }
     QueryStats stats;
     size_t stmt_rows = 0;
     switch (stmt.kind) {
@@ -1120,7 +1067,7 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
     stats.wall_seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - stmt_t0)
                              .count();
-    script.statements.push_back(stats);
+    script.statements.push_back(std::move(stats));
   }
   query_span.End();
   RADB_RETURN_NOT_OK(WriteObsFiles());
@@ -1183,7 +1130,7 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
     const parser::SelectStmt& stmt, const QueryOptions& options,
     QueryStats* stats, obs::QueryRecord* record,
     const std::string* cache_key) {
-  const obs::ObsContext obs = QueryObs(options);
+  const obs::ObsContext obs = obs_context();
   // Plan-cache consult under the EXPLAIN's own normalized text (a
   // different key space from the bare SELECT; both resolve to the
   // same plan shape). Results of EXPLAIN ANALYZE are never cached —
@@ -1234,57 +1181,33 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
   const size_t budget = options.memory_budget_bytes != 0
                             ? options.memory_budget_bytes
                             : config_.memory_budget_bytes;
-  const uint64_t query_id =
-      options.query_id != 0
-          ? options.query_id
-          : next_query_id_.fetch_add(1, std::memory_order_relaxed);
   mem::MemoryTracker tracker("query", budget, options.memory_parent,
                              obs.metrics);
-  MemoryContext mem{&tracker, config_.spill_dir, query_id,
+  MemoryContext mem{&tracker, config_.spill_dir, options.query_id,
                     options.cancellation.get()};
-  std::unique_ptr<ThreadPool> tmp_pool;
-  ThreadPool* pool = pool_.get();
-  if (options.num_threads_override != 0 &&
-      options.num_threads_override != pool_->num_threads()) {
-    tmp_pool = std::make_unique<ThreadPool>(options.num_threads_override);
-    pool = tmp_pool.get();
-  }
-
-  QueryMetrics qm;
-  // Snapshot the sparse-dispatch counters so the footer can report
-  // this query's deltas (the registry is cumulative per Database).
-  obs::MetricsRegistry* sparse_reg = obs::GlobalMetrics();
-  uint64_t sparse0 = 0, auto0 = 0, densify0 = 0;
-  if (sparse_reg != nullptr) {
-    sparse0 = sparse_reg->counter("la.sparse.dispatch_sparse")->value();
-    auto0 = sparse_reg->counter("la.sparse.auto_sparsify")->value();
-    densify0 = sparse_reg->counter("la.sparse.densify_fallback")->value();
-  }
+  // The execution reports into a registry of its own, so the footer's
+  // sparse-dispatch counts are exactly this statement's even while
+  // other sessions run; it is folded into the Database registry as
+  // soon as execution ends.
+  obs::MetricsRegistry local;
+  obs::ObsContext exec_obs = obs;
+  if (obs.metrics != nullptr) exec_obs.metrics = &local;
+  QueryMetrics& qm = stats->metrics;
   const auto t0 = std::chrono::steady_clock::now();
   // The executor outlives Execute so its plan-node -> metrics map is
   // available for rendering.
-  Executor executor(cluster_, &qm, obs, pool, mem,
+  Executor executor(cluster_, &qm, exec_obs, CurrentExecContext().pool, mem,
                     ExecOptions{config_.enable_vectorized,
                                 config_.vectorized_batch_rows});
-  size_t spill = 0, peak = 0;
   {
     obs::ScopedSpan exec_span(obs.tracer, "execute", "pipeline");
     PhaseTimer exec_timer(record, obs::QueryPhase::kExecute);
     auto result = executor.Execute(*plan);
-    spill = tracker.spill_bytes();
-    peak = tracker.peak_bytes();
-    if (stats != nullptr) {
-      stats->spill_bytes = spill;
-      stats->peak_memory_bytes = peak;
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      last_spill_bytes_ = spill;
-      last_peak_bytes_ = peak;
-    }
+    if (obs.metrics != nullptr) local.MergeInto(obs.metrics);
+    stats->spill_bytes = tracker.spill_bytes();
+    stats->peak_memory_bytes = tracker.peak_bytes();
     AppendOperatorRecords(qm, record);
-    RADB_ASSIGN_OR_RETURN(Dist dist, std::move(result));
-    (void)dist;
+    RADB_RETURN_NOT_OK(result.status());
   }
   qm.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -1295,28 +1218,25 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
   os << "wall time: " << qm.wall_seconds << " s"
      << "; simulated parallel time: " << qm.SimulatedParallelSeconds() << " s"
      << "; total shuffled: " << FormatBytes(double(qm.TotalBytesShuffled()));
-  if (spill > 0) {
-    os << "; total spilled: " << FormatBytes(double(spill))
-       << " (peak memory " << FormatBytes(double(peak)) << ")";
+  if (stats->spill_bytes > 0) {
+    os << "; total spilled: " << FormatBytes(double(stats->spill_bytes))
+       << " (peak memory " << FormatBytes(double(stats->peak_memory_bytes))
+       << ")";
   }
   if (cache_key != nullptr && plan_cache_ != nullptr) {
     os << "; cache=" << (cached != nullptr ? "plan-hit" : "miss");
   }
-  if (sparse_reg != nullptr) {
+  if (obs.metrics != nullptr) {
     const uint64_t sparse_calls =
-        sparse_reg->counter("la.sparse.dispatch_sparse")->value() - sparse0;
+        local.counter("la.sparse.dispatch_sparse")->value();
     const uint64_t auto_calls =
-        sparse_reg->counter("la.sparse.auto_sparsify")->value() - auto0;
+        local.counter("la.sparse.auto_sparsify")->value();
     const uint64_t densify_calls =
-        sparse_reg->counter("la.sparse.densify_fallback")->value() - densify0;
+        local.counter("la.sparse.densify_fallback")->value();
     if (sparse_calls + auto_calls + densify_calls > 0) {
       os << "; sparse dispatch: sparse=" << sparse_calls
          << " auto=" << auto_calls << " densified=" << densify_calls;
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    last_metrics_ = std::move(qm);
   }
   ResultSet rs;
   rs.columns.push_back(SlotInfo{0, "plan", DataType::String()});
@@ -1354,6 +1274,7 @@ Status Database::RepartitionTable(const std::string& table,
     return Status::CatalogError("system table " + ToLower(table) +
                                 " is read-only");
   }
+  ScopedExecContext context(OwnContext());
   RADB_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, catalog_.GetTable(table));
   RADB_ASSIGN_OR_RETURN(size_t idx, t->schema().Resolve("", column));
   RADB_RETURN_NOT_OK(LogMutation([&](storage::TableStore& s) {
@@ -1366,12 +1287,14 @@ Status Database::RepartitionTable(const std::string& table,
 
 Status Database::SaveTable(const std::string& table,
                            const std::string& path) {
+  ScopedExecContext context(OwnContext());
   RADB_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, catalog_.GetTable(table));
   return WriteTableFile(*t, path);
 }
 
 Status Database::LoadTable(const std::string& table,
                            const std::string& path) {
+  ScopedExecContext context(OwnContext());
   RADB_ASSIGN_OR_RETURN(std::shared_ptr<Table> loaded,
                         ReadTableFile(path, config_.num_workers));
   RADB_ASSIGN_OR_RETURN(std::shared_ptr<Table> created,

@@ -73,16 +73,11 @@ struct QueryOptions {
   /// possible and produce bit-identical results; unspillable state
   /// that cannot fit fails the statement with ResourceExhausted.
   size_t memory_budget_bytes = 0;
-  /// Run this call on a temporary thread pool with this many threads
-  /// instead of the database's pool. 0 = use the database pool.
-  /// Results are identical at every setting.
+  /// Run this call — its executor loops and its LA kernels — on a
+  /// temporary thread pool with this many threads instead of the
+  /// database's pool. 0 = use the database pool. Results are
+  /// identical at every setting.
   size_t num_threads_override = 0;
-  /// When false, this call does not report to the metrics registry
-  /// (per-statement QueryStats are still collected — they are free).
-  bool collect_metrics = true;
-  /// When false, this call records no trace spans even when tracing
-  /// is configured on.
-  bool trace = true;
   /// Wall-clock deadline for the whole call, in milliseconds from the
   /// moment Execute starts (0 = none). The clock covers queue wait
   /// when the call goes through a service::Session. On expiry the
@@ -119,6 +114,10 @@ struct QueryStats {
   double wall_seconds = 0.0;
   size_t spill_bytes = 0;       // bytes written to spill files
   size_t peak_memory_bytes = 0; // tracked high-water mark
+  /// Per-operator times, rows and shuffle volume of the statement's
+  /// execution (the Figure 4 data); empty for statements that ran no
+  /// plan, and for results served from the result cache.
+  QueryMetrics metrics;
 };
 
 /// Everything an Execute call produced: one ResultSet per
@@ -179,9 +178,9 @@ class Database {
     /// Record a span tree (parse/bind/optimize/execute, per-operator
     /// and per-worker children) for every Execute call.
     bool enable_tracing = false;
-    /// Maintain a metrics registry (counters/gauges/histograms). The
-    /// registry is also installed as the process-global one so LA
-    /// kernels and storage I/O report into it.
+    /// Maintain a metrics registry (counters/gauges/histograms). LA
+    /// kernels and storage I/O reached from this Database's calls
+    /// report into it through the ambient ExecContext.
     bool enable_metrics = false;
     /// When non-empty, the Chrome trace-event JSON of the most recent
     /// Execute call is rewritten here after each call (implies
@@ -301,20 +300,6 @@ class Database {
     };
     StorageOptions storage;
 
-    /// Density-adaptive sparse kernel selection (src/la/sparse). The
-    /// policy is process-global — the constructor installs these
-    /// values, last-constructed Database wins (same discipline as the
-    /// global worker pool).
-    struct SparseOptions {
-      /// Route dense-by-dense multiplies through the sparse kernel
-      /// when the left operand's measured nnz density is at or below
-      /// the threshold. Purely a kernel-selection device: results
-      /// keep their dense representation and identical cells.
-      bool auto_dispatch = true;
-      double density_threshold = 0.05;
-    };
-    SparseOptions sparse;
-
     Optimizer::Options optimizer;
     ObsOptions obs;
     TelemetryOptions telemetry;
@@ -387,7 +372,7 @@ class Database {
   /// per-statement execution stats.
   Result<ScriptResult> Execute(const std::string& sql);
   /// Same, with per-call knobs (memory budget, thread override,
-  /// observability toggles).
+  /// deadline, cancellation).
   Result<ScriptResult> Execute(const std::string& sql,
                                const QueryOptions& options);
 
@@ -435,18 +420,6 @@ class Database {
   /// workers.
   Status LoadTable(const std::string& table, const std::string& path);
 
-  /// Metrics of the most recent Execute call (per-operator times,
-  /// shuffle volume — the Figure 4 data). Single-caller accessors:
-  /// with concurrent sessions, read per-call stats from ScriptResult
-  /// instead.
-  const QueryMetrics& last_metrics() const { return last_metrics_; }
-  /// Spill / peak-memory summary of the most recent successful
-  /// Execute call, aggregated exactly like the call's ScriptResult:
-  /// spill is the sum over the script's statements, peak the maximum
-  /// (the ablation benchmark's measurement hooks).
-  size_t last_spill_bytes() const { return last_spill_bytes_; }
-  size_t last_peak_memory_bytes() const { return last_peak_bytes_; }
-
   /// Span tracer (null unless Config::obs enables tracing). Holds the
   /// span tree of the most recent Execute call.
   obs::Tracer* tracer() { return tracer_.get(); }
@@ -490,18 +463,18 @@ class Database {
     std::vector<DataType> param_types;       // types `plan` was bound with
   };
 
-  /// `stats`, when non-null, receives this statement's spill/peak
-  /// totals — the race-free path for concurrent sessions, which must
-  /// not read them back from the shared last_* members. `cache_key`,
-  /// when non-null, is the statement's normalized text and enables
-  /// the plan/result caches for this statement.
+  /// The statement helpers below run inside Execute(), whose
+  /// ExecContext supplies the call's pool; `options.query_id` is
+  /// already assigned. `stats` receives the statement's execution
+  /// summary. `cache_key`, when non-null, is the statement's
+  /// normalized text and enables the plan/result caches for this
+  /// statement.
   Result<ResultSet> RunSelect(const parser::SelectStmt& stmt,
-                              const QueryOptions& options,
-                              QueryStats* stats = nullptr,
-                              obs::QueryRecord* record = nullptr,
+                              const QueryOptions& options, QueryStats* stats,
+                              obs::QueryRecord* record,
                               const std::string* cache_key = nullptr);
   /// Executes an already-optimized plan: per-query memory tracker,
-  /// executor, stats copy-back, and serialization to a ResultSet with
+  /// executor, stats, and serialization to a ResultSet with
   /// `out_columns` (hidden sort keys trimmed). The shared tail of the
   /// cold path, the plan-cache hit path, and EXECUTE.
   Result<ResultSet> ExecutePlanRows(const LogicalOp& plan,
@@ -527,10 +500,9 @@ class Database {
   /// cache=plan-hit / cache=miss.
   Result<ResultSet> ExplainAnalyzeSelect(const parser::SelectStmt& stmt,
                                          const QueryOptions& options,
-                                         QueryStats* stats = nullptr,
-                                         obs::QueryRecord* record = nullptr,
-                                         const std::string* cache_key =
-                                             nullptr);
+                                         QueryStats* stats,
+                                         obs::QueryRecord* record,
+                                         const std::string* cache_key);
   /// The statement loop behind Execute(); `record` accumulates the
   /// phase breakdown and operator records for telemetry.
   Result<ScriptResult> ExecuteScript(const std::string& sql,
@@ -540,8 +512,11 @@ class Database {
   /// crosses Config::telemetry.slow_query_micros, emits one structured
   /// slow-query-log line.
   void RecordQueryTelemetry(obs::QueryRecord record);
-  /// The ObsContext for one call, with QueryOptions toggles applied.
-  obs::ObsContext QueryObs(const QueryOptions& options);
+  /// The ExecContext a call into this Database runs under: its own
+  /// pool and registry.
+  ExecContext OwnContext(uint64_t query_id = 0) {
+    return ExecContext{query_id, pool_.get(), metrics_registry_.get()};
+  }
   /// Rewrites trace/metrics files if Config::obs names paths.
   Status WriteObsFiles() const;
 
@@ -558,14 +533,6 @@ class Database {
   /// that could reference pooled segments and destroyed by explicit
   /// Close() in the destructor, after queries have drained.
   std::unique_ptr<storage::TableStore> store_;
-  /// Guards the last-call snapshots below. Execution itself writes
-  /// into per-call QueryMetrics locals; only the final copy-back to
-  /// these legacy accessors takes the lock, so concurrent sessions
-  /// never race on mid-flight metrics.
-  mutable std::mutex stats_mu_;
-  QueryMetrics last_metrics_;
-  size_t last_spill_bytes_ = 0;
-  size_t last_peak_bytes_ = 0;
   /// Ids handed to calls that did not bring one (spill attribution,
   /// pool task tags). Starts at 1; 0 means "unassigned".
   std::atomic<uint64_t> next_query_id_{1};

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "la/matrix.h"
 #include "la/sparse/sparse.h"
 #include "la/vector.h"
@@ -15,7 +16,6 @@ namespace {
 using TT = TypeTemplate;
 using DP = DimParam;
 using la::sparse::CsrMatrix;
-using la::sparse::DispatchPolicy;
 using la::sparse::Semiring;
 
 Status BadIndex(const char* fn, int64_t idx, size_t limit) {
@@ -37,7 +37,9 @@ Result<Value> WrapMat(Result<la::Matrix> r) {
 }
 
 void SparseMetric(const char* name) {
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) reg->Add(name, 1);
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
+    reg->Add(name, 1);
+  }
 }
 
 /// Reads the optional trailing semiring-name argument; absent or NULL
@@ -94,16 +96,13 @@ Result<Value> MultiplyDispatch(const std::vector<Value>& args) {
   }
   const la::Matrix& a = av.matrix();
   const la::Matrix& b = bv.matrix();
-  if (DispatchPolicy::AutoEnabled()) {
-    const size_t cells = a.rows() * a.cols();
-    if (cells > 0 &&
-        static_cast<double>(la::sparse::DenseNnz(a)) / cells <=
-            DispatchPolicy::Threshold()) {
-      SparseMetric("la.sparse.auto_sparsify");
-      RADB_ASSIGN_OR_RETURN(
-          la::Matrix c, la::sparse::SpMm(CsrMatrix::FromDense(a), b, s));
-      return Value::FromMatrix(std::move(c));
-    }
+  const size_t cells = a.rows() * a.cols();
+  if (cells > 0 && static_cast<double>(la::sparse::DenseNnz(a)) / cells <=
+                       la::sparse::kAutoDispatchDensity) {
+    SparseMetric("la.sparse.auto_sparsify");
+    RADB_ASSIGN_OR_RETURN(
+        la::Matrix c, la::sparse::SpMm(CsrMatrix::FromDense(a), b, s));
+    return Value::FromMatrix(std::move(c));
   }
   SparseMetric("la.sparse.dispatch_dense");
   return WrapMat(la::sparse::DenseMultiply(a, b, s));

@@ -11,20 +11,22 @@ namespace {
 /// started under it run inline.
 thread_local bool tls_in_worker = false;
 
-/// Ambient task tag; inherited by regions started without an explicit
-/// tag and re-established on worker threads while they run a region's
-/// bodies, so nested GlobalPool() use stays attributed to the query.
-thread_local uint64_t tls_task_tag = 0;
+/// Ambient execution context; captured by every region and
+/// re-established on worker threads while they run its bodies, so
+/// kernels reached from a region body see the query's pool and
+/// registry.
+thread_local ExecContext tls_context;
 
 }  // namespace
 
-uint64_t CurrentTaskTag() { return tls_task_tag; }
+const ExecContext& CurrentExecContext() { return tls_context; }
 
-ScopedTaskTag::ScopedTaskTag(uint64_t tag) : previous_(tls_task_tag) {
-  tls_task_tag = tag;
+ScopedExecContext::ScopedExecContext(const ExecContext& context)
+    : previous_(tls_context) {
+  tls_context = context;
 }
 
-ScopedTaskTag::~ScopedTaskTag() { tls_task_tag = previous_; }
+ScopedExecContext::~ScopedExecContext() { tls_context = previous_; }
 
 size_t ThreadPool::HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -67,7 +69,7 @@ ThreadPool::Region* ThreadPool::PickRegionLocked() {
     if (r->next >= r->n) continue;
     uint64_t service = 0;
     for (const auto& [tag, tick] : tag_service_) {
-      if (tag == r->tag) {
+      if (tag == r->ctx.query_id) {
         service = tick;
         break;
       }
@@ -111,17 +113,17 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       r->claimed = true;
       r->first_claim = Clock::now();
     }
-    const uint64_t tag = r->tag;
+    const ExecContext ctx = r->ctx;
     const std::function<void(size_t)>* body = r->body;
-    TouchTagLocked(tag);
+    TouchTagLocked(ctx.query_id);
     lock.unlock();
     tls_in_worker = true;
-    tls_task_tag = tag;
+    tls_context = ctx;
     const auto body_start = Clock::now();
     (*body)(i);
     const double body_seconds =
         std::chrono::duration<double>(Clock::now() - body_start).count();
-    tls_task_tag = 0;
+    tls_context = ExecContext{};
     tls_in_worker = false;
     lock.lock();
     ++stats.tasks;
@@ -132,11 +134,12 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   }
 }
 
-void ThreadPool::RunRegion(size_t n, const std::function<void(size_t)>& body,
-                           uint64_t tag) {
+void ThreadPool::RunRegion(size_t n,
+                           const std::function<void(size_t)>& body) {
   using Clock = std::chrono::steady_clock;
   Region region;
-  region.tag = tag;
+  region.ctx = tls_context;
+  const uint64_t tag = region.ctx.query_id;
   region.n = n;
   region.body = &body;
   region.created = Clock::now();
@@ -151,8 +154,6 @@ void ThreadPool::RunRegion(size_t n, const std::function<void(size_t)>& body,
   // bodies, so every region is guaranteed forward progress even when
   // all pool workers are busy elsewhere.
   tls_in_worker = true;
-  const uint64_t previous_tag = tls_task_tag;
-  tls_task_tag = tag;
   std::unique_lock<std::mutex> lock(mu_);
   while (region.next < region.n) {
     const size_t i = region.next++;
@@ -180,7 +181,7 @@ void ThreadPool::RunRegion(size_t n, const std::function<void(size_t)>& body,
   // run.
   bool tag_live = false;
   for (const Region* r : regions_) {
-    if (r->tag == tag) {
+    if (r->ctx.query_id == tag) {
       tag_live = true;
       break;
     }
@@ -194,7 +195,6 @@ void ThreadPool::RunRegion(size_t n, const std::function<void(size_t)>& body,
     }
   }
   lock.unlock();
-  tls_task_tag = previous_tag;
   tls_in_worker = false;
   if (observer) {
     const auto end = Clock::now();
@@ -218,7 +218,7 @@ ThreadPool::PoolStats ThreadPool::Stats() const {
   for (const Region* r : regions_) {
     RegionStats s;
     s.id = r->id;
-    s.tag = r->tag;
+    s.tag = r->ctx.query_id;
     s.n = r->n;
     s.next = r->next;
     s.completed = r->completed;
@@ -234,19 +234,18 @@ void ThreadPool::SetRegionObserver(
   region_observer_ = std::move(observer);
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body,
-                             uint64_t tag) {
+void ThreadPool::ParallelFor(size_t n,
+                             const std::function<void(size_t)>& body) {
   if (n == 0) return;
   if (n == 1 || num_threads_ <= 1 || tls_in_worker) {
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  RunRegion(n, body, tag == 0 ? tls_task_tag : tag);
+  RunRegion(n, body);
 }
 
-void ThreadPool::ParallelRanges(size_t total,
-                                const std::function<void(size_t, size_t)>& body,
-                                uint64_t tag) {
+void ThreadPool::ParallelRanges(
+    size_t total, const std::function<void(size_t, size_t)>& body) {
   if (total == 0) return;
   if (num_threads_ <= 1 || tls_in_worker) {
     body(0, total);
@@ -258,48 +257,10 @@ void ThreadPool::ParallelRanges(size_t total,
   const size_t chunk =
       std::max<size_t>(1, (total + target_chunks - 1) / target_chunks);
   const size_t n_chunks = (total + chunk - 1) / chunk;
-  ParallelFor(
-      n_chunks,
-      [&](size_t c) {
-        const size_t begin = c * chunk;
-        body(begin, std::min(begin + chunk, total));
-      },
-      tag);
-}
-
-namespace {
-std::atomic<ThreadPool*> g_pool{nullptr};
-// Registration stack behind Install/UninstallGlobalPool; mirrors
-// obs::InstallGlobalMetrics. The atomic stays the lock-free read
-// path.
-std::mutex g_pool_stack_mu;
-std::vector<ThreadPool*> g_pool_stack;
-}  // namespace
-
-ThreadPool* GlobalPool() { return g_pool.load(std::memory_order_acquire); }
-
-ThreadPool* SetGlobalPool(ThreadPool* pool) {
-  return g_pool.exchange(pool, std::memory_order_acq_rel);
-}
-
-void InstallGlobalPool(ThreadPool* pool) {
-  if (pool == nullptr) return;
-  std::lock_guard<std::mutex> lock(g_pool_stack_mu);
-  g_pool_stack.push_back(pool);
-  g_pool.store(pool, std::memory_order_release);
-}
-
-void UninstallGlobalPool(ThreadPool* pool) {
-  if (pool == nullptr) return;
-  std::lock_guard<std::mutex> lock(g_pool_stack_mu);
-  for (auto it = g_pool_stack.rbegin(); it != g_pool_stack.rend(); ++it) {
-    if (*it == pool) {
-      g_pool_stack.erase(std::next(it).base());
-      break;
-    }
-  }
-  g_pool.store(g_pool_stack.empty() ? nullptr : g_pool_stack.back(),
-               std::memory_order_release);
+  ParallelFor(n_chunks, [&](size_t c) {
+    const size_t begin = c * chunk;
+    body(begin, std::min(begin + chunk, total));
+  });
 }
 
 }  // namespace radb

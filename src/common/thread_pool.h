@@ -1,7 +1,6 @@
 #ifndef RADB_COMMON_THREAD_POOL_H_
 #define RADB_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -13,30 +12,47 @@
 
 namespace radb {
 
-/// Ambient per-thread task tag (usually a query id). Regions started
-/// without an explicit tag inherit it, so LA kernels reached through
-/// GlobalPool() are attributed to the query that called them without
-/// plumbing a tag through every signature.
-uint64_t CurrentTaskTag();
+namespace obs {
+class MetricsRegistry;  // obs/metrics_registry.h
+}  // namespace obs
 
-/// RAII setter for the ambient task tag; restores the previous tag on
-/// destruction. The executor opens one at the top of each query.
-class ScopedTaskTag {
+class ThreadPool;
+
+/// What the calling thread is working for: the query, the pool its LA
+/// kernels may fork onto, and the registry they report into. Kernels
+/// and storage helpers are free functions with no path to a Database,
+/// so they read this ambient context instead of taking it as an
+/// argument. Outside any scope every field is null: a kernel then runs
+/// sequentially and reports nothing.
+struct ExecContext {
+  uint64_t query_id = 0;
+  ThreadPool* pool = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;
+};
+
+/// The calling thread's ambient context. Pool workers run each region
+/// body under the context of the thread that started the region.
+const ExecContext& CurrentExecContext();
+
+/// RAII setter for the ambient context; restores the previous one on
+/// destruction. Database entry points open one with their own pool and
+/// registry, and Executor::Execute opens one per query.
+class ScopedExecContext {
  public:
-  explicit ScopedTaskTag(uint64_t tag);
-  ~ScopedTaskTag();
-  ScopedTaskTag(const ScopedTaskTag&) = delete;
-  ScopedTaskTag& operator=(const ScopedTaskTag&) = delete;
+  explicit ScopedExecContext(const ExecContext& context);
+  ~ScopedExecContext();
+  ScopedExecContext(const ScopedExecContext&) = delete;
+  ScopedExecContext& operator=(const ScopedExecContext&) = delete;
 
  private:
-  uint64_t previous_;
+  ExecContext previous_;
 };
 
 /// Fixed-size thread pool driving fork/join `ParallelFor` regions.
 ///
 /// One pool is owned per Database (sized by Config::num_threads) and
 /// shared by the executor's per-worker partition loops and, through
-/// the GlobalPool() hook, by the dense LA kernels. There is no work
+/// the ambient ExecContext, by the dense LA kernels. There is no work
 /// stealing and no general task queue: a region hands every claimant
 /// the same body and indices are claimed one at a time under the pool
 /// lock (bodies are chunky — a partition, a tile product, a row band —
@@ -44,10 +60,11 @@ class ScopedTaskTag {
 ///
 /// Concurrency model: many regions may be live at once, one per
 /// submitting thread. Pool workers multiplex across live regions and
-/// pick, at every claim, a region whose *tag* has gone longest without
-/// service — per-query fair scheduling, so a heavy tiled multiply
-/// (many long regions under one tag) cannot starve a short scan that
-/// arrives under another tag. The submitting caller participates but
+/// pick, at every claim, a region whose *tag* (the query id of the
+/// context that started it) has gone longest without service —
+/// per-query fair scheduling, so a heavy tiled multiply (many long
+/// regions under one tag) cannot starve a short scan that arrives
+/// under another tag. The submitting caller participates but
 /// claims only from its own region, which guarantees every region
 /// makes progress even when all workers are busy elsewhere.
 ///
@@ -74,10 +91,8 @@ class ThreadPool {
   /// Runs body(i) for every i in [0, n) and blocks until all are
   /// done. The calling thread participates. Concurrent ParallelFor
   /// calls from different threads proceed as concurrent regions and
-  /// share the workers fairly by tag. `tag` = 0 inherits the ambient
-  /// CurrentTaskTag().
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body,
-                   uint64_t tag = 0);
+  /// share the workers fairly by the query id of their context.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   /// Splits [0, total) into contiguous ranges (several per thread, so
   /// dynamic claiming balances uneven work) and runs body(begin, end)
@@ -85,8 +100,7 @@ class ThreadPool {
   /// output row is produced entirely by one range, so results are
   /// identical to the sequential loop.
   void ParallelRanges(size_t total,
-                      const std::function<void(size_t, size_t)>& body,
-                      uint64_t tag = 0);
+                      const std::function<void(size_t, size_t)>& body);
 
   /// True when the calling thread is one of this process's pool
   /// workers (any pool) — the signal that a region must run inline.
@@ -139,7 +153,8 @@ class ThreadPool {
   /// past the claim they served.
   struct Region {
     uint64_t id = 0;
-    uint64_t tag = 0;
+    /// The submitter's context; ctx.query_id is the fairness tag.
+    ExecContext ctx;
     size_t n = 0;
     const std::function<void(size_t)>* body = nullptr;
     size_t next = 0;       // next unclaimed index
@@ -152,8 +167,7 @@ class ThreadPool {
   };
 
   void WorkerLoop(size_t worker_index);
-  void RunRegion(size_t n, const std::function<void(size_t)>& body,
-                 uint64_t tag);
+  void RunRegion(size_t n, const std::function<void(size_t)>& body);
   /// Under mu_: true if any live region still has unclaimed indices.
   bool HasClaimableLocked() const;
   /// Under mu_: fair pick — least-recently-served tag, oldest region
@@ -182,26 +196,6 @@ class ThreadPool {
   WorkerStats caller_stats_;
   std::function<void(double, double)> region_observer_;
 };
-
-/// Process-global pool hook for call sites with no natural path to a
-/// Database (the LA kernels), mirroring obs::GlobalMetrics(). Null
-/// means sequential execution — callers must test. A Database installs
-/// its pool here for the duration of its lifetime.
-ThreadPool* GlobalPool();
-/// Installs (or, with nullptr, uninstalls) the global pool; returns
-/// the previous one. Prefer the scoped Install/Uninstall pair below —
-/// raw save/restore breaks when two installers are destroyed out of
-/// LIFO order (the restorer can resurrect a freed pool).
-ThreadPool* SetGlobalPool(ThreadPool* pool);
-
-/// Scoped installation: pushes `pool` onto a registration stack and
-/// makes it current. UninstallGlobalPool removes `pool` from anywhere
-/// in the stack (not just the top), then the newest surviving entry
-/// becomes current again — so two Databases (or a Database plus a
-/// temporary per-query override pool) may come and go in any order
-/// without one resurrecting the other's freed pool. No-ops on nullptr.
-void InstallGlobalPool(ThreadPool* pool);
-void UninstallGlobalPool(ThreadPool* pool);
 
 }  // namespace radb
 

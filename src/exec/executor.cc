@@ -234,11 +234,11 @@ Status Executor::ForEachWorker(size_t n,
 }
 
 Result<Dist> Executor::Execute(const LogicalOp& op) {
-  // All pool regions started under this call — including nested LA
-  // kernels reached through GlobalPool() — carry the query id as
-  // their task tag, so the pool's fair scheduler can interleave this
-  // query with concurrently running ones.
-  ScopedTaskTag tag(mem_.query_id);
+  // Everything this call starts — its own pool regions and the LA
+  // kernels and storage helpers its operators reach — runs under this
+  // query's id, pool and registry. The id is the pool's fairness tag,
+  // so concurrent queries interleave.
+  ScopedExecContext context({mem_.query_id, pool_, obs_.metrics});
   RADB_ASSIGN_OR_RETURN(ExecResult out, ExecuteOp(op));
   PublishObservability();
   // The final result set is always materialized (it leaves the

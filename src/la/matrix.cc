@@ -23,8 +23,8 @@ Status ShapeMismatch(const char* op, size_t ar, size_t ac, size_t br,
 }
 
 /// Dispatches band(row_begin, row_end) over contiguous bands of
-/// output rows on the process-global thread pool, or inline when
-/// there is no pool, the product is too small to amortize the
+/// output rows on the ambient ExecContext's pool, or inline when
+/// there is no pool (no query in scope), the product is too small to amortize the
 /// fork/join (below ~64K flops), or we are already inside a pool
 /// worker (the executor's per-worker loops — ParallelRanges then runs
 /// inline by itself). Every output row is produced entirely by one
@@ -33,7 +33,7 @@ Status ShapeMismatch(const char* op, size_t ar, size_t ac, size_t br,
 void ForRowBands(size_t rows, size_t flops,
                  const std::function<void(size_t, size_t)>& band) {
   constexpr size_t kMinParallelFlops = 1 << 16;
-  ThreadPool* pool = GlobalPool();
+  ThreadPool* pool = CurrentExecContext().pool;
   if (pool == nullptr || pool->num_threads() <= 1 ||
       flops < kMinParallelFlops) {
     band(0, rows);
@@ -154,7 +154,7 @@ Result<Matrix> Multiply(const Matrix& a, const Matrix& b) {
                          b.cols());
   }
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
     reg->Add("la.matmul_calls", 1);
     reg->Add("la.matmul_flops", 2 * m * k * n);
   }
@@ -187,7 +187,7 @@ Result<Matrix> Multiply(const Matrix& a, const Matrix& b) {
 
 Matrix TransposeSelfMultiply(const Matrix& a) {
   const size_t n = a.cols();
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
     reg->Add("la.tsmm_calls", 1);
     reg->Add("la.tsmm_flops", a.rows() * n * n);  // symmetric half x2
   }
@@ -218,7 +218,7 @@ Result<Vector> MatrixVectorMultiply(const Matrix& a, const Vector& v) {
     return ShapeMismatch("matrix_vector_multiply", a.rows(), a.cols(),
                          v.size(), 1);
   }
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
     reg->Add("la.matvec_calls", 1);
     reg->Add("la.matvec_flops", 2 * a.rows() * a.cols());
   }
@@ -251,7 +251,7 @@ Result<Vector> VectorMatrixMultiply(const Vector& v, const Matrix& a) {
 }
 
 Matrix OuterProduct(const Vector& a, const Vector& b) {
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
     reg->Add("la.outer_product_calls", 1);
     reg->Add("la.outer_product_flops", a.size() * b.size());
   }

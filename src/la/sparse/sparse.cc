@@ -1,12 +1,12 @@
 #include "la/sparse/sparse.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
 
+#include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 
 namespace radb::la::sparse {
@@ -24,7 +24,9 @@ Status ShapeMismatch(const char* op, size_t ar, size_t ac, size_t br,
 }
 
 void Count(const char* metric, uint64_t n) {
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) reg->Add(metric, n);
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
+    reg->Add(metric, n);
+  }
 }
 
 /// True when a computed matrix cell maps back to "no entry".
@@ -639,26 +641,6 @@ size_t DenseNnz(const Matrix& m) {
     if (m.data()[i] != 0.0) ++n;
   }
   return n;
-}
-
-// ------------------------------------------------------------------
-// Dispatch policy
-// ------------------------------------------------------------------
-
-namespace {
-std::atomic<bool> g_auto_enabled{true};
-std::atomic<double> g_threshold{0.05};
-}  // namespace
-
-bool DispatchPolicy::AutoEnabled() {
-  return g_auto_enabled.load(std::memory_order_relaxed);
-}
-double DispatchPolicy::Threshold() {
-  return g_threshold.load(std::memory_order_relaxed);
-}
-void DispatchPolicy::Set(bool auto_enabled, double threshold) {
-  g_auto_enabled.store(auto_enabled, std::memory_order_relaxed);
-  g_threshold.store(threshold, std::memory_order_relaxed);
 }
 
 }  // namespace radb::la::sparse

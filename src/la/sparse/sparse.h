@@ -208,21 +208,14 @@ Result<Vector> VectorEWiseAdd(const Vector& a, const Vector& b,
 size_t DenseNnz(const Matrix& m);
 
 // ---------------------------------------------------------------------
-// Density-adaptive dispatch policy. Process-global (builtins have no
-// Database handle); Database's constructor installs its
-// Config::SparseOptions here, last writer wins. When enabled, a dense
-// matrix argument of a multiply whose density is <= threshold is
-// compressed on the fly and routed through the sparse kernel; the
-// result representation still follows the inputs' representations
-// (sparse results only appear when an input was explicitly sparse),
-// so auto-dispatch is purely a kernel-selection device and results
-// stay bit-identical.
+// Density-adaptive dispatch: a dense matrix argument of a multiply
+// whose density is <= this threshold is compressed on the fly and
+// routed through the sparse kernel. The result representation still
+// follows the inputs' representations (sparse results only appear when
+// an input was explicitly sparse), so dispatch is purely a
+// kernel-selection device and results stay bit-identical.
 // ---------------------------------------------------------------------
-struct DispatchPolicy {
-  static bool AutoEnabled();
-  static double Threshold();
-  static void Set(bool auto_enabled, double threshold);
-};
+inline constexpr double kAutoDispatchDensity = 0.05;
 
 }  // namespace radb::la::sparse
 

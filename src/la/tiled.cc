@@ -105,7 +105,7 @@ Result<std::vector<Tile>> TiledMultiply(const std::vector<Tile>& lhs,
 Result<std::vector<Tile>> TiledMultiply(const std::vector<Tile>& lhs,
                                         const std::vector<Tile>& rhs,
                                         const TiledOptions& options) {
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
     reg->Add("la.tiled_multiply_calls", 1);
     reg->Add("la.tiles_in", lhs.size() + rhs.size());
   }
@@ -150,7 +150,7 @@ Result<std::vector<Tile>> TiledMultiply(const std::vector<Tile>& lhs,
         statuses[i] = prod.status();
       }
     };
-    ThreadPool* pool = GlobalPool();
+    ThreadPool* pool = CurrentExecContext().pool;
     if (pool != nullptr && pool->num_threads() > 1 && matches.size() > 1) {
       pool->ParallelFor(matches.size(), compute);
     } else {
@@ -214,7 +214,7 @@ Result<std::vector<Tile>> TiledMultiply(const std::vector<Tile>& lhs,
     victim->resident = false;
     tracker.Release(victim->bytes);
     tracker.RecordSpill(n, 1);
-    if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+    if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
       reg->Add("la.tile_evictions", 1);
     }
     return true;

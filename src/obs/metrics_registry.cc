@@ -9,6 +9,15 @@
 
 namespace radb::obs {
 
+namespace {
+
+/// Upper bound of histogram bucket i.
+double BucketBound(size_t i) {
+  return std::exp2(static_cast<double>(i) + Histogram::kMinExponent);
+}
+
+}  // namespace
+
 void Histogram::Observe(double v) {
   // Non-finite samples would otherwise poison the aggregates forever:
   // one NaN turns sum_/min_/max_ (and every percentile derived from
@@ -32,9 +41,10 @@ void Histogram::Observe(double v) {
   ++count_;
   sum_ += v;
   size_t b = 0;
-  if (v > 1.0) {
-    b = std::min<size_t>(kBuckets - 1,
-                         static_cast<size_t>(std::ceil(std::log2(v))));
+  if (v > BucketBound(0)) {
+    b = std::min<size_t>(
+        kBuckets - 1,
+        static_cast<size_t>(std::ceil(std::log2(v)) - kMinExponent));
   }
   ++buckets_[b];
 }
@@ -53,8 +63,8 @@ double Histogram::Percentile(double q) const {
     const uint64_t before = cumulative;
     cumulative += buckets_[i];
     if (static_cast<double>(cumulative) < rank) continue;
-    const double lower = i == 0 ? 0.0 : std::exp2(static_cast<double>(i) - 1);
-    const double upper = std::exp2(static_cast<double>(i));
+    const double upper = BucketBound(i);
+    const double lower = i == 0 ? 0.0 : BucketBound(i - 1);
     const double frac =
         (rank - static_cast<double>(before)) / static_cast<double>(buckets_[i]);
     const double v = lower + (upper - lower) * frac;
@@ -68,7 +78,7 @@ std::vector<std::pair<double, uint64_t>> Histogram::NonEmptyBuckets() const {
   std::vector<std::pair<double, uint64_t>> out;
   for (size_t i = 0; i < kBuckets; ++i) {
     if (buckets_[i] != 0) {
-      out.emplace_back(std::exp2(static_cast<double>(i)), buckets_[i]);
+      out.emplace_back(BucketBound(i), buckets_[i]);
     }
   }
   return out;
@@ -187,50 +197,29 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
   return out;
 }
 
+void MetricsRegistry::MergeInto(MetricsRegistry* dst) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, c] : counters_) dst->Add(name, c->value());
+  for (const auto& [name, g] : gauges_) dst->Set(name, g->value());
+  for (const auto& [name, h] : histograms_) {
+    Histogram* out = dst->histogram(name);
+    std::scoped_lock both(h->mu_, out->mu_);
+    if (h->count_ == 0) continue;
+    out->min_ = out->count_ == 0 ? h->min_ : std::min(out->min_, h->min_);
+    out->max_ = out->count_ == 0 ? h->max_ : std::max(out->max_, h->max_);
+    out->count_ += h->count_;
+    out->sum_ += h->sum_;
+    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+      out->buckets_[i] += h->buckets_[i];
+    }
+  }
+}
+
 void MetricsRegistry::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-}
-
-namespace {
-std::atomic<MetricsRegistry*> g_metrics{nullptr};
-// Registration stack behind Install/UninstallGlobalMetrics. The
-// atomic above stays the lock-free read path; the stack (under its
-// own mutex) only exists so uninstalls can remove an entry from the
-// middle without resurrecting an already-destroyed registry.
-std::mutex g_metrics_stack_mu;
-std::vector<MetricsRegistry*> g_metrics_stack;
-}  // namespace
-
-MetricsRegistry* GlobalMetrics() {
-  return g_metrics.load(std::memory_order_acquire);
-}
-
-MetricsRegistry* SetGlobalMetrics(MetricsRegistry* m) {
-  return g_metrics.exchange(m, std::memory_order_acq_rel);
-}
-
-void InstallGlobalMetrics(MetricsRegistry* m) {
-  if (m == nullptr) return;
-  std::lock_guard<std::mutex> lock(g_metrics_stack_mu);
-  g_metrics_stack.push_back(m);
-  g_metrics.store(m, std::memory_order_release);
-}
-
-void UninstallGlobalMetrics(MetricsRegistry* m) {
-  if (m == nullptr) return;
-  std::lock_guard<std::mutex> lock(g_metrics_stack_mu);
-  for (auto it = g_metrics_stack.rbegin(); it != g_metrics_stack.rend();
-       ++it) {
-    if (*it == m) {
-      g_metrics_stack.erase(std::next(it).base());
-      break;
-    }
-  }
-  g_metrics.store(g_metrics_stack.empty() ? nullptr : g_metrics_stack.back(),
-                  std::memory_order_release);
 }
 
 }  // namespace radb::obs

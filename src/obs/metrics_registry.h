@@ -37,11 +37,15 @@ class Gauge {
 };
 
 /// Distribution summary with power-of-two buckets. Bucket i counts
-/// observations in (2^(i-1), 2^i] (bucket 0: <= 1). Cheap, fixed
-/// memory, good enough to see operator-time and shuffle-size shapes.
+/// observations in (2^(i-1+kMinExponent), 2^(i+kMinExponent)]; bucket
+/// 0 takes everything <= 2^kMinExponent, the top bucket everything
+/// above 2^(kBuckets-2+kMinExponent). The bounds reach far below 1 so
+/// sub-second latencies get their own buckets. Cheap, fixed memory,
+/// good enough to see operator-time and shuffle-size shapes.
 class Histogram {
  public:
-  static constexpr size_t kBuckets = 64;
+  static constexpr int kMinExponent = -32;
+  static constexpr size_t kBuckets = 96;  // top bound 2^63
 
   void Observe(double v);
 
@@ -128,6 +132,11 @@ class MetricsRegistry {
   /// and the Prometheus exporter are both rendered from this.
   std::vector<MetricSample> Snapshot() const;
 
+  /// Adds every instrument into `dst`: counters add, gauges
+  /// overwrite, histograms merge bucket by bucket. Folds a query-local
+  /// registry into its Database's registry when the query ends.
+  void MergeInto(MetricsRegistry* dst) const;
+
   /// Drops every instrument (used between bench figures).
   void Clear();
 
@@ -137,26 +146,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-/// Process-global registry hook for call sites with no natural path to
-/// a Database (the LA kernels, storage I/O). Null when observability
-/// is off — callers must test. A Database with metrics enabled
-/// installs its registry here for the duration of its lifetime.
-MetricsRegistry* GlobalMetrics();
-/// Installs (or, with nullptr, uninstalls) the global registry;
-/// returns the previous one. Prefer the scoped Install/Uninstall pair
-/// below — raw save/restore breaks when two installers are destroyed
-/// out of LIFO order (the restorer can resurrect a freed registry).
-MetricsRegistry* SetGlobalMetrics(MetricsRegistry* m);
-
-/// Scoped installation: pushes `m` onto a registration stack and makes
-/// it current. UninstallGlobalMetrics removes `m` from *anywhere* in
-/// the stack (not just the top), then the newest surviving entry
-/// becomes current again — so two Databases may be constructed and
-/// destroyed in any order without one resurrecting the other's freed
-/// registry. No-ops on nullptr.
-void InstallGlobalMetrics(MetricsRegistry* m);
-void UninstallGlobalMetrics(MetricsRegistry* m);
 
 }  // namespace radb::obs
 

@@ -22,7 +22,7 @@ class Session;
 struct ServiceConfig {
   AdmissionConfig admission;
   /// Default QueryOptions for sessions that don't override them per
-  /// call (memory budget, deadline, metrics toggles).
+  /// call (memory budget, deadline, thread override).
   QueryOptions default_options;
 };
 

@@ -1,5 +1,6 @@
 #include "storage/serialize.h"
 
+#include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 
 #include <cstdint>
@@ -322,7 +323,7 @@ Status WriteTableFile(const Table& table, const std::string& path) {
   if (!os) {
     return Status::ExecutionError("write failed for " + path);
   }
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
     reg->Add("storage.tables_written", 1);
     const auto pos = os.tellp();
     if (pos > 0) reg->Add("storage.bytes_written", static_cast<uint64_t>(pos));
@@ -364,7 +365,7 @@ Result<std::shared_ptr<Table>> ReadTableFile(const std::string& path,
     }
     RADB_RETURN_NOT_OK(table->Insert(std::move(row)));
   }
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
     reg->Add("storage.tables_read", 1);
     const auto pos = is.tellg();
     if (pos > 0) reg->Add("storage.bytes_read", static_cast<uint64_t>(pos));

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 #include "storage/serialize.h"
 
@@ -145,7 +146,7 @@ Status Table::InsertAll(std::vector<Row> rows) {
   for (Row& r : rows) {
     RADB_RETURN_NOT_OK(Insert(std::move(r)));
   }
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
     reg->Add("storage.rows_inserted", n);
   }
   return Status::OK();
@@ -177,7 +178,7 @@ Status Table::RepartitionByHash(size_t column) {
   partitioning_.hash_column = column;
   RADB_RETURN_NOT_OK(RebuildIndexes());
   BumpVersion();
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+  if (obs::MetricsRegistry* reg = CurrentExecContext().metrics) {
     reg->Add("storage.rows_repartitioned", num_rows());
   }
   return Status::OK();

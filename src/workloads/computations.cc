@@ -1,5 +1,6 @@
 #include "workloads/computations.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace radb::workloads {
@@ -108,15 +109,15 @@ Result<RunOutcome> SqlWorkload::RunScript(
   for (const std::string& sql : statements) {
     RADB_ASSIGN_OR_RETURN(ScriptResult script, db_.Execute(sql));
     if (script.has_results()) *last = std::move(script.result_sets.back());
-    const QueryMetrics& m = db_.last_metrics();
-    out.simulated_seconds += m.SimulatedParallelSeconds();
-    out.bytes_shuffled += m.TotalBytesShuffled();
-    out.spill_bytes += db_.last_spill_bytes();
-    if (db_.last_peak_memory_bytes() > out.peak_tracked_bytes) {
-      out.peak_tracked_bytes = db_.last_peak_memory_bytes();
-    }
-    for (const OperatorMetrics& op : m.operators) {
-      out.metrics.operators.push_back(op);
+    for (QueryStats& st : script.statements) {
+      out.simulated_seconds += st.metrics.SimulatedParallelSeconds();
+      out.bytes_shuffled += st.metrics.TotalBytesShuffled();
+      out.spill_bytes += st.spill_bytes;
+      out.peak_tracked_bytes =
+          std::max(out.peak_tracked_bytes, st.peak_memory_bytes);
+      for (OperatorMetrics& op : st.metrics.operators) {
+        out.metrics.operators.push_back(std::move(op));
+      }
     }
   }
   out.wall_seconds = SecondsSince(t0);

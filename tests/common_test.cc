@@ -177,14 +177,49 @@ TEST(ThreadPoolTest, ParallelRangesCoversAllOfTotalDisjointly) {
   for (size_t i = 0; i < kTotal; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ThreadPoolTest, GlobalPoolInstallAndRestore) {
-  ThreadPool* before = GlobalPool();
+TEST(ThreadPoolTest, ScopedExecContextInstallsAndRestores) {
+  EXPECT_EQ(CurrentExecContext().query_id, 0u);
+  EXPECT_EQ(CurrentExecContext().pool, nullptr);
   ThreadPool pool(2);
-  ThreadPool* previous = SetGlobalPool(&pool);
-  EXPECT_EQ(previous, before);
-  EXPECT_EQ(GlobalPool(), &pool);
-  SetGlobalPool(previous);
-  EXPECT_EQ(GlobalPool(), before);
+  {
+    ScopedExecContext outer({7, &pool, nullptr});
+    EXPECT_EQ(CurrentExecContext().query_id, 7u);
+    EXPECT_EQ(CurrentExecContext().pool, &pool);
+    {
+      ScopedExecContext inner({9, nullptr, nullptr});
+      EXPECT_EQ(CurrentExecContext().query_id, 9u);
+      EXPECT_EQ(CurrentExecContext().pool, nullptr);
+    }
+    EXPECT_EQ(CurrentExecContext().query_id, 7u);
+    EXPECT_EQ(CurrentExecContext().pool, &pool);
+  }
+  EXPECT_EQ(CurrentExecContext().query_id, 0u);
+  EXPECT_EQ(CurrentExecContext().pool, nullptr);
+}
+
+TEST(ThreadPoolTest, RegionBodiesRunUnderTheSubmittersContext) {
+  constexpr size_t kN = 64;
+  ThreadPool pool(4);
+  std::vector<uint64_t> ids(kN, 99);
+  std::vector<ThreadPool*> pools(kN, &pool);
+  // No context: bodies see the empty one, on workers too.
+  pool.ParallelFor(kN, [&](size_t i) {
+    ids[i] = CurrentExecContext().query_id;
+    pools[i] = CurrentExecContext().pool;
+  });
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(ids[i], 0u) << i;
+    EXPECT_EQ(pools[i], nullptr) << i;
+  }
+  ScopedExecContext scope({42, &pool, nullptr});
+  pool.ParallelFor(kN, [&](size_t i) {
+    ids[i] = CurrentExecContext().query_id;
+    pools[i] = CurrentExecContext().pool;
+  });
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(ids[i], 42u) << i;
+    EXPECT_EQ(pools[i], &pool) << i;
+  }
 }
 
 TEST(ThreadPoolTest, ZeroThreadsResolvesToHardware) {

@@ -38,12 +38,11 @@ TEST_F(ExecTest, BroadcastJoinChosenForTinySide) {
   ASSERT_TRUE(db_->BulkInsert("big", std::move(big_rows)).ok());
   ASSERT_TRUE(
       db_->BulkInsert("tiny", {{Value::Int(7)}, {Value::Int(13)}}).ok());
-  auto rs = Exec(*db_, 
-      "SELECT COUNT(*) FROM big, tiny WHERE big.k = tiny.k");
+  auto rs = db_->Execute("SELECT COUNT(*) FROM big, tiny WHERE big.k = tiny.k");
   ASSERT_TRUE(rs.ok()) << rs.status();
-  EXPECT_EQ(rs->at(0, 0).AsInt().value(), 40);
+  EXPECT_EQ(rs->last().at(0, 0).AsInt().value(), 40);
   bool saw_broadcast = false;
-  for (const auto& op : db_->last_metrics().operators) {
+  for (const auto& op : rs->statements.back().metrics.operators) {
     if (op.name.find("bcast") != std::string::npos) saw_broadcast = true;
   }
   EXPECT_TRUE(saw_broadcast);
@@ -60,14 +59,14 @@ TEST_F(ExecTest, ShuffleJoinForComparableSides) {
   }
   ASSERT_TRUE(db_->BulkInsert("l", std::move(lr)).ok());
   ASSERT_TRUE(db_->BulkInsert("r", std::move(rr)).ok());
-  auto rs = Exec(*db_, 
-      "SELECT COUNT(*), SUM(l.p + r.q) FROM l, r WHERE l.k = r.k");
+  auto rs =
+      db_->Execute("SELECT COUNT(*), SUM(l.p + r.q) FROM l, r WHERE l.k = r.k");
   ASSERT_TRUE(rs.ok()) << rs.status();
-  EXPECT_EQ(rs->at(0, 0).AsInt().value(), 500);
-  EXPECT_DOUBLE_EQ(rs->at(0, 1).AsDouble().value(), 0.0);
+  EXPECT_EQ(rs->last().at(0, 0).AsInt().value(), 500);
+  EXPECT_DOUBLE_EQ(rs->last().at(0, 1).AsDouble().value(), 0.0);
   bool saw_shuffle_join = false;
   size_t shuffled = 0;
-  for (const auto& op : db_->last_metrics().operators) {
+  for (const auto& op : rs->statements.back().metrics.operators) {
     if (op.name == "HashJoin(shuffle)") {
       saw_shuffle_join = true;
       shuffled = op.bytes_shuffled;
@@ -93,23 +92,22 @@ TEST_F(ExecTest, PrePartitionedSideSkipsShuffle) {
   ASSERT_TRUE(db_->RepartitionTable("rhs", "k").ok());
   ASSERT_FALSE(db_->RepartitionTable("rhs", "nope").ok());
 
-  auto rs = Exec(*db_, 
-      "SELECT COUNT(*) FROM lhs, rhs WHERE lhs.k = rhs.k");
+  auto rs = db_->Execute("SELECT COUNT(*) FROM lhs, rhs WHERE lhs.k = rhs.k");
   ASSERT_TRUE(rs.ok()) << rs.status();
-  EXPECT_EQ(rs->at(0, 0).AsInt().value(), 400);
+  EXPECT_EQ(rs->last().at(0, 0).AsInt().value(), 400);
+  const QueryMetrics& m = rs->statements.back().metrics;
   bool saw_elision = false;
-  for (const auto& op : db_->last_metrics().operators) {
+  for (const auto& op : m.operators) {
     if (op.name == "HashJoin(shuffle one side)") saw_elision = true;
   }
-  EXPECT_TRUE(saw_elision) << db_->last_metrics().ToString();
+  EXPECT_TRUE(saw_elision) << m.ToString();
 
   // Both sides pre-partitioned: co-located join with zero shuffle.
   ASSERT_TRUE(db_->RepartitionTable("lhs", "k").ok());
-  auto rs2 = Exec(*db_, 
-      "SELECT COUNT(*) FROM lhs, rhs WHERE lhs.k = rhs.k");
+  auto rs2 = db_->Execute("SELECT COUNT(*) FROM lhs, rhs WHERE lhs.k = rhs.k");
   ASSERT_TRUE(rs2.ok()) << rs2.status();
-  EXPECT_EQ(rs2->at(0, 0).AsInt().value(), 400);
-  for (const auto& op : db_->last_metrics().operators) {
+  EXPECT_EQ(rs2->last().at(0, 0).AsInt().value(), 400);
+  for (const auto& op : rs2->statements.back().metrics.operators) {
     if (op.name.find("HashJoin") != std::string::npos) {
       EXPECT_EQ(op.name, "HashJoin(co-located)");
       EXPECT_EQ(op.bytes_shuffled, 0u);
@@ -201,12 +199,12 @@ TEST_F(ExecTest, TwoPhaseAggregationShufflesPartialStates) {
     rows.push_back({Value::Int(i % 10), Value::Double(1.0)});
   }
   ASSERT_TRUE(db_->BulkInsert("t", std::move(rows)).ok());
-  auto rs = Exec(*db_, "SELECT g, SUM(v) FROM t GROUP BY g");
+  auto rs = db_->Execute("SELECT g, SUM(v) FROM t GROUP BY g");
   ASSERT_TRUE(rs.ok()) << rs.status();
-  EXPECT_EQ(rs->num_rows(), 10u);
+  EXPECT_EQ(rs->last().num_rows(), 10u);
   // The shuffle moved partial states (at most groups x workers), not
   // the thousand input rows.
-  for (const auto& op : db_->last_metrics().operators) {
+  for (const auto& op : rs->statements.back().metrics.operators) {
     if (op.name == "Aggregate(final)") {
       EXPECT_LE(op.rows_shuffled, 10u * 4u);
       EXPECT_GT(op.rows_shuffled, 0u);
@@ -274,8 +272,9 @@ TEST_F(ExecTest, MetricsSkewAndSimulatedTime) {
   std::vector<Row> rows;
   for (int i = 0; i < 400; ++i) rows.push_back({Value::Int(i)});
   ASSERT_TRUE(db_->BulkInsert("t", std::move(rows)).ok());
-  ASSERT_TRUE(Exec(*db_, "SELECT SUM(a) FROM t").ok());
-  const QueryMetrics& m = db_->last_metrics();
+  auto rs = db_->Execute("SELECT SUM(a) FROM t");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  const QueryMetrics& m = rs->statements.back().metrics;
   EXPECT_GT(m.operators.size(), 0u);
   EXPECT_GE(m.wall_seconds, m.SimulatedParallelSeconds() * 0.0);
   for (const auto& op : m.operators) {
@@ -410,12 +409,12 @@ TEST(ExecDeterminismTest, ShuffleAccountingMatchesAcrossThreadCounts) {
       rows.push_back({Value::Int(i % 50), Value::Double(i)});
     }
     ASSERT_TRUE(db.BulkInsert("t", std::move(rows)).ok());
-    auto rs = Exec(db, "SELECT k, SUM(v) FROM t GROUP BY k");
+    auto rs = db.Execute("SELECT k, SUM(v) FROM t GROUP BY k");
     ASSERT_TRUE(rs.ok()) << rs.status();
-    EXPECT_EQ(rs->num_rows(), 50u);
+    EXPECT_EQ(rs->last().num_rows(), 50u);
     size_t rows_shuffled = 0;
     size_t bytes_shuffled = 0;
-    for (const auto& op : db.last_metrics().operators) {
+    for (const auto& op : rs->statements.back().metrics.operators) {
       rows_shuffled += op.rows_shuffled;
       bytes_shuffled += op.bytes_shuffled;
     }

@@ -11,6 +11,7 @@
 
 #include "test_util.h"
 #include "common/thread_pool.h"
+#include "la/matrix.h"
 #include "obs/json.h"
 #include "obs/metrics_registry.h"
 #include "obs/obs.h"
@@ -171,17 +172,35 @@ TEST(MetricsRegistryTest, HistogramRejectsNonFiniteSamples) {
   for (double q : {0.5, 0.95, 0.99}) {
     EXPECT_TRUE(std::isfinite(h->Percentile(q))) << "q=" << q;
   }
-  // Bucket placement: -inf clamps below 1.0 and lands in bucket 0
-  // (le 1) by design; 2.0 in le 2; +inf clamps to DBL_MAX and must
+  // Bucket placement: -inf clamps below the lowest bound and lands in
+  // bucket 0 by design; 2.0 in le 2; +inf clamps to DBL_MAX and must
   // land in the TOP bucket, not bucket 0 as before the fix.
   const auto buckets = h->NonEmptyBuckets();
   ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_DOUBLE_EQ(buckets[0].first, 1.0);
+  EXPECT_DOUBLE_EQ(buckets[0].first,
+                   std::exp2(obs::Histogram::kMinExponent));
   EXPECT_EQ(buckets[0].second, 1u);
   EXPECT_DOUBLE_EQ(buckets[1].first, 2.0);
   EXPECT_EQ(buckets[1].second, 1u);
   EXPECT_EQ(buckets[2].second, 1u);
   EXPECT_GT(buckets[2].first, 1e18);  // exp2(kBuckets - 1), the top bucket
+}
+
+TEST(MetricsRegistryTest, SubSecondSamplesGetTheirOwnBuckets) {
+  obs::MetricsRegistry reg;
+  obs::Histogram* h = reg.histogram("service.query_seconds");
+  // 1000 latencies spread evenly over 1-100 ms.
+  for (int i = 0; i < 1000; ++i) h->Observe(0.001 + 0.099 * i / 999.0);
+  // The median (~50 ms) must come out of 50 ms's own bucket
+  // (2^-5, 2^-4] s, not be interpolated across [0, 1] s.
+  const double p50 = h->Percentile(0.5);
+  EXPECT_GT(p50, std::exp2(-5.0));
+  EXPECT_LE(p50, std::exp2(-4.0));
+  EXPECT_GT(h->Percentile(0.95), std::exp2(-4.0));
+  // 1 ms and 100 ms land in distinct buckets, far below 1 s.
+  const auto buckets = h->NonEmptyBuckets();
+  EXPECT_DOUBLE_EQ(buckets.front().first, std::exp2(-9.0));
+  EXPECT_DOUBLE_EQ(buckets.back().first, std::exp2(-3.0));
 }
 
 TEST(MetricsRegistryTest, EmptyHistogramIsAllZeros) {
@@ -214,14 +233,42 @@ TEST(MetricsRegistryTest, ToJsonParsesBack) {
   EXPECT_DOUBLE_EQ(ahist->Find("mean")->number, 3.0);
 }
 
-TEST(MetricsRegistryTest, GlobalHookInstallsAndRestores) {
-  ASSERT_EQ(obs::GlobalMetrics(), nullptr);
+TEST(MetricsRegistryTest, ScopedContextInstallsAndRestoresRegistry) {
+  ASSERT_EQ(CurrentExecContext().metrics, nullptr);
   obs::MetricsRegistry reg;
-  obs::MetricsRegistry* prev = obs::SetGlobalMetrics(&reg);
-  EXPECT_EQ(prev, nullptr);
-  EXPECT_EQ(obs::GlobalMetrics(), &reg);
-  EXPECT_EQ(obs::SetGlobalMetrics(nullptr), &reg);
-  EXPECT_EQ(obs::GlobalMetrics(), nullptr);
+  {
+    ScopedExecContext scope({0, nullptr, &reg});
+    EXPECT_EQ(CurrentExecContext().metrics, &reg);
+    // Kernels report into the ambient registry...
+    ASSERT_TRUE(la::Multiply(la::Matrix(2, 3), la::Matrix(3, 4)).ok());
+  }
+  EXPECT_EQ(CurrentExecContext().metrics, nullptr);
+  EXPECT_EQ(reg.counter("la.matmul_calls")->value(), 1u);
+  EXPECT_EQ(reg.counter("la.matmul_flops")->value(), 2u * 2 * 3 * 4);
+  // ...and, with no context, into nothing.
+  ASSERT_TRUE(la::Multiply(la::Matrix(2, 3), la::Matrix(3, 4)).ok());
+  EXPECT_EQ(reg.counter("la.matmul_calls")->value(), 1u);
+}
+
+TEST(MetricsRegistryTest, MergeIntoAddsEveryInstrument) {
+  obs::MetricsRegistry local, total;
+  total.Add("c", 5);
+  total.Observe("h", 4.0);
+  local.Add("c", 2);
+  local.Add("only_local", 3);
+  local.Set("g", 1.5);
+  local.Observe("h", 0.25);
+  local.Observe("h", 16.0);
+  local.MergeInto(&total);
+  EXPECT_EQ(total.counter("c")->value(), 7u);
+  EXPECT_EQ(total.counter("only_local")->value(), 3u);
+  EXPECT_DOUBLE_EQ(total.gauge("g")->value(), 1.5);
+  obs::Histogram* h = total.histogram("h");
+  EXPECT_EQ(h->count(), 3u);
+  EXPECT_DOUBLE_EQ(h->sum(), 20.25);
+  EXPECT_DOUBLE_EQ(h->min(), 0.25);
+  EXPECT_DOUBLE_EQ(h->max(), 16.0);
+  EXPECT_EQ(h->NonEmptyBuckets().size(), 3u);
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsLoseNothing) {
@@ -388,8 +435,9 @@ TEST(ObsDisabledTest, DefaultDatabaseHasNoObservability) {
   auto rs = Exec(db, "SELECT a FROM t");
   ASSERT_TRUE(rs.ok()) << rs.status();
   EXPECT_EQ(rs->num_rows(), 2u);
-  // Nothing leaked into the process-global hook.
-  EXPECT_EQ(obs::GlobalMetrics(), nullptr);
+  // Nothing leaked into the calling thread's context.
+  EXPECT_EQ(CurrentExecContext().metrics, nullptr);
+  EXPECT_EQ(CurrentExecContext().pool, nullptr);
 }
 
 TEST(ObsDatabaseFilesTest, TraceAndMetricsFilesAreWritten) {

@@ -103,21 +103,21 @@ TEST_F(OptimizerSection41Test, LaAwarePlanMovesFarFewerBytes) {
     config.optimizer.enable_early_projection = false;
     Database db(config);
     Load(&db);
-    auto rs = Exec(db, kQuery);
+    auto rs = db.Execute(kQuery);
     ASSERT_TRUE(rs.ok()) << rs.status();
-    naive_result = rs->at(0, 0).matrix();
-    for (const auto& op : db.last_metrics().operators) {
+    naive_result = rs->last().at(0, 0).matrix();
+    for (const auto& op : rs->statements.back().metrics.operators) {
       naive_bytes += op.bytes_out;
     }
   }
   {
     Database db;
     Load(&db);
-    auto rs = Exec(db, kQuery);
+    auto rs = db.Execute(kQuery);
     ASSERT_TRUE(rs.ok()) << rs.status();
-    aware_result = rs->at(0, 0).matrix();
-    ASSERT_EQ(rs->num_rows(), 100u);
-    for (const auto& op : db.last_metrics().operators) {
+    aware_result = rs->last().at(0, 0).matrix();
+    ASSERT_EQ(rs->last().num_rows(), 100u);
+    for (const auto& op : rs->statements.back().metrics.operators) {
       aware_bytes += op.bytes_out;
     }
   }

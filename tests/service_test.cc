@@ -10,7 +10,6 @@
 #include "api/database.h"
 
 #include "test_util.h"
-#include "common/thread_pool.h"
 #include "mem/spill_file.h"
 #include "obs/metrics_registry.h"
 #include "service/admission.h"
@@ -204,37 +203,6 @@ TEST(SpillNamingTest, TaggedSpillFilesGetDistinctAttributablePaths) {
   mem::SpillFile plain;
   ASSERT_TRUE(plain.Create().ok());
   EXPECT_NE(plain.path().find("radb-spill-"), std::string::npos);
-}
-
-// ----------------------------------------------------------------------
-// Scoped global installs: two Databases may live at once and be
-// destroyed in any order without stomping each other's process
-// globals (satellite regression).
-// ----------------------------------------------------------------------
-
-TEST(GlobalInstallTest, TwoDatabasesDestroyedOutOfLifoOrderStaySafe) {
-  Database::Config cfg;
-  cfg.obs.enable_metrics = true;
-  auto first = std::make_unique<Database>(cfg);
-  auto second = std::make_unique<Database>(cfg);
-  // Newest install wins while both live.
-  EXPECT_EQ(obs::GlobalMetrics(), second->metrics_registry());
-  EXPECT_EQ(GlobalPool(), second->pool());
-  // Destroy the OLDER one first — the newer installs must survive
-  // (the old save/restore scheme would have resurrected a stale
-  // pointer here on the NEXT destruction).
-  first.reset();
-  EXPECT_EQ(obs::GlobalMetrics(), second->metrics_registry());
-  EXPECT_EQ(GlobalPool(), second->pool());
-  // And queries still run on the survivor.
-  ASSERT_TRUE(Exec(*second, "CREATE TABLE t (k INTEGER)").ok());
-  ASSERT_TRUE(Exec(*second, "INSERT INTO t VALUES (1), (2)").ok());
-  auto rs = Exec(*second, "SELECT SUM(k) FROM t");
-  ASSERT_TRUE(rs.ok()) << rs.status();
-  EXPECT_EQ(rs->at(0, 0).int_value(), 3);
-  second.reset();
-  EXPECT_EQ(obs::GlobalMetrics(), nullptr);
-  EXPECT_EQ(GlobalPool(), nullptr);
 }
 
 // ----------------------------------------------------------------------

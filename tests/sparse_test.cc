@@ -371,24 +371,23 @@ TEST(SparseValueTest, DenseMatrixByteSizeIgnoresCapacitySlack) {
 TEST(DispatchTest, ThresholdBoundaryIsInclusiveAndCounted) {
   Database::Config cfg;
   cfg.obs.enable_metrics = true;
-  cfg.sparse.auto_dispatch = true;
-  cfg.sparse.density_threshold = 0.25;
   Database db(cfg);
-  ASSERT_EQ(la::sparse::DispatchPolicy::Threshold(), 0.25);
+  ASSERT_EQ(la::sparse::kAutoDispatchDensity, 0.05);
 
-  la::Matrix at(4, 4);  // density exactly 4/16 == threshold -> sparse
-  at.At(0, 0) = at.At(1, 1) = at.At(2, 2) = at.At(3, 3) = 1.5;
-  la::Matrix above(at);  // 5/16 > threshold -> dense
+  la::Matrix at(20, 20);  // density exactly 20/400 == threshold -> sparse
+  for (size_t i = 0; i < 20; ++i) at.At(i, i) = 1.5;
+  la::Matrix above(at);  // 21/400 > threshold -> dense
   above.At(0, 1) = 0.5;
-  ASSERT_TRUE(
-      Exec(db, "CREATE TABLE t (k INTEGER, a MATRIX[4][4], b MATRIX[4][4])")
-          .ok());
+  ASSERT_TRUE(Exec(db,
+                   "CREATE TABLE t (k INTEGER, a MATRIX[20][20], "
+                   "b MATRIX[20][20])")
+                  .ok());
   std::vector<Row> rows;
   rows.push_back({Value::Int(0), Value::FromMatrix(la::Matrix(at)),
                   Value::FromMatrix(la::Matrix(above))});
   ASSERT_TRUE(db.BulkInsert("t", std::move(rows)).ok());
 
-  obs::MetricsRegistry* reg = obs::GlobalMetrics();
+  obs::MetricsRegistry* reg = db.metrics_registry();
   ASSERT_NE(reg, nullptr);
   obs::Counter* auto_ctr = reg->counter("la.sparse.auto_sparsify");
   obs::Counter* dense_ctr = reg->counter("la.sparse.dispatch_dense");
@@ -396,7 +395,7 @@ TEST(DispatchTest, ThresholdBoundaryIsInclusiveAndCounted) {
   const uint64_t auto_before = auto_ctr->value();
   auto rs = Exec(db, "SELECT matrix_multiply(a, a) FROM t");
   ASSERT_TRUE(rs.ok());
-  EXPECT_GT(auto_ctr->value(), auto_before)
+  EXPECT_EQ(auto_ctr->value(), auto_before + 1)
       << "density == threshold must take the sparse kernel";
   // Auto-dispatch is kernel selection only: the result is dense and
   // bit-identical to the dense kernel's answer.
@@ -409,16 +408,8 @@ TEST(DispatchTest, ThresholdBoundaryIsInclusiveAndCounted) {
   const uint64_t dense_before = dense_ctr->value();
   auto rs2 = Exec(db, "SELECT matrix_multiply(b, b) FROM t");
   ASSERT_TRUE(rs2.ok());
-  EXPECT_GT(dense_ctr->value(), dense_before)
+  EXPECT_EQ(dense_ctr->value(), dense_before + 1)
       << "density above threshold must stay on the dense kernel";
-
-  // Disabling auto-dispatch pins the dense kernel even for sparse
-  // densities (process-global policy, last writer wins).
-  la::sparse::DispatchPolicy::Set(false, 0.25);
-  const uint64_t auto_frozen = auto_ctr->value();
-  ASSERT_TRUE(Exec(db, "SELECT matrix_multiply(a, a) FROM t").ok());
-  EXPECT_EQ(auto_ctr->value(), auto_frozen);
-  la::sparse::DispatchPolicy::Set(true, 0.05);  // restore default
 }
 
 // ---- SQL surface -----------------------------------------------------

@@ -215,8 +215,9 @@ TEST_F(SqlBasicTest, IntegerDivisionTruncates) {
 }
 
 TEST_F(SqlBasicTest, MetricsPopulated) {
-  ASSERT_TRUE(Exec(db_, "SELECT c, SUM(a) FROM t GROUP BY c").ok());
-  const QueryMetrics& m = db_.last_metrics();
+  auto rs = db_.Execute("SELECT c, SUM(a) FROM t GROUP BY c");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  const QueryMetrics& m = rs->statements.back().metrics;
   EXPECT_GT(m.operators.size(), 0u);
   bool saw_aggregate = false;
   for (const auto& op : m.operators) {
@@ -228,13 +229,14 @@ TEST_F(SqlBasicTest, MetricsPopulated) {
 }
 
 TEST_F(SqlBasicTest, ExplainAnalyzeAnnotatesEveryNode) {
-  auto rs =
-      Exec(db_, "EXPLAIN ANALYZE SELECT c, SUM(a) FROM t GROUP BY c");
-  ASSERT_TRUE(rs.ok()) << rs.status();
-  ASSERT_EQ(rs->num_columns(), 1u);
+  auto script =
+      db_.Execute("EXPLAIN ANALYZE SELECT c, SUM(a) FROM t GROUP BY c");
+  ASSERT_TRUE(script.ok()) << script.status();
+  const ResultSet& rs = script->last();
+  ASSERT_EQ(rs.num_columns(), 1u);
   std::string text;
-  for (size_t r = 0; r < rs->num_rows(); ++r) {
-    text += rs->at(r, 0).string_value();
+  for (size_t r = 0; r < rs.num_rows(); ++r) {
+    text += rs.at(r, 0).string_value();
     text += "\n";
   }
   EXPECT_NE(text.find("Aggregate"), std::string::npos) << text;
@@ -244,9 +246,9 @@ TEST_F(SqlBasicTest, ExplainAnalyzeAnnotatesEveryNode) {
   EXPECT_NE(text.find("max-worker="), std::string::npos) << text;
   EXPECT_NE(text.find("skew="), std::string::npos) << text;
   EXPECT_NE(text.find("wall time:"), std::string::npos) << text;
-  // EXPLAIN ANALYZE executed the query, so last_metrics() is the run
-  // it reports.
-  const QueryMetrics& m = db_.last_metrics();
+  // EXPLAIN ANALYZE executed the query, so the statement's metrics
+  // are the run it reports.
+  const QueryMetrics& m = script->statements.back().metrics;
   EXPECT_GT(m.operators.size(), 0u);
   EXPECT_GT(m.wall_seconds, 0.0);
   // The Scan annotation carries that operator's actual row count.

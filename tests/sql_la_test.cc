@@ -420,17 +420,17 @@ TEST(SqlLaTest, ExplainAnalyzeOuterProductAgreesWithLastMetrics) {
   ASSERT_TRUE(Exec(db, "INSERT INTO v VALUES (ones_vector(4)), "
                             "(ones_vector(4)), (ones_vector(4))")
                   .ok());
-  auto rs = Exec(db, 
-      "EXPLAIN ANALYZE SELECT SUM(outer_product(vec, vec)) FROM v");
-  ASSERT_TRUE(rs.ok()) << rs.status();
-  const std::string text = PlanText(*rs);
+  auto script =
+      db.Execute("EXPLAIN ANALYZE SELECT SUM(outer_product(vec, vec)) FROM v");
+  ASSERT_TRUE(script.ok()) << script.status();
+  const std::string text = PlanText(script->last());
   EXPECT_NE(text.find("Aggregate"), std::string::npos) << text;
   EXPECT_NE(text.find("Scan v"), std::string::npos) << text;
   EXPECT_NE(text.find("actual rows=3"), std::string::npos) << text;  // scan
   EXPECT_NE(text.find("actual rows=1"), std::string::npos) << text;  // agg
 
-  // The footer totals are the same numbers last_metrics() reports.
-  const QueryMetrics& m = db.last_metrics();
+  // The footer totals are the same numbers the statement's stats report.
+  const QueryMetrics& m = script->statements.back().metrics;
   EXPECT_GT(m.operators.size(), 0u);
   EXPECT_NE(
       text.find("total shuffled: " +
@@ -461,15 +461,15 @@ TEST(SqlLaTest, ExplainAnalyzeGramSplitsJoinAndAggregateTime) {
     ASSERT_TRUE(
         db.BulkInsert("w", {Row{Value::Int(i), Value::Double(1.0)}}).ok());
   }
-  auto rs = Exec(db, 
+  auto script = db.Execute(
       "EXPLAIN ANALYZE SELECT SUM(outer_product(x.vec, x.vec)) "
       "FROM x, w WHERE x.id = w.id");
-  ASSERT_TRUE(rs.ok()) << rs.status();
-  const std::string text = PlanText(*rs);
+  ASSERT_TRUE(script.ok()) << script.status();
+  const std::string text = PlanText(script->last());
   EXPECT_NE(text.find("Join"), std::string::npos) << text;
   EXPECT_NE(text.find("Aggregate"), std::string::npos) << text;
 
-  const QueryMetrics& m = db.last_metrics();
+  const QueryMetrics& m = script->statements.back().metrics;
   const double join_s = m.SecondsForOperatorsContaining("Join");
   const double agg_s = m.SecondsForOperatorsContaining("Aggregate");
   EXPECT_GT(join_s, 0.0);
