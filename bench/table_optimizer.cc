@@ -60,7 +60,7 @@ void RunPlan(benchmark::State& state, bool la_aware) {
       state.SkipWithError(rs.status().ToString().c_str());
       break;
     }
-    const QueryMetrics& m = rs->statements.back().metrics;
+    const QueryMetrics& m = rs->statements.back();
     size_t bytes_out = 0;
     for (const auto& op : m.operators) {
       bytes_out += op.bytes_out;

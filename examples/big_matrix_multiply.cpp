@@ -90,6 +90,6 @@ int main() {
   std::printf("result tiles: %zu, max |SQL - dense| = %.3g\n",
               rs->last().num_rows(), assembled->MaxAbsDiff(*expected));
   std::printf("\nexecution metrics:\n%s",
-              rs->statements.back().metrics.ToString().c_str());
+              rs->statements.back().ToString().c_str());
   return 0;
 }

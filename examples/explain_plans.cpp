@@ -65,7 +65,7 @@ int main() {
       return 1;
     }
     std::printf("executed: %zu result rows\n%s\n", rs->last().num_rows(),
-                rs->statements.back().metrics.ToString().c_str());
+                rs->statements.back().ToString().c_str());
   }
   {
     radb::Database::Config config;
@@ -89,7 +89,7 @@ int main() {
       return 1;
     }
     std::printf("executed: %zu result rows\n%s\n", rs->last().num_rows(),
-                rs->statements.back().metrics.ToString().c_str());
+                rs->statements.back().ToString().c_str());
   }
   return 0;
 }

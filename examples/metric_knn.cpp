@@ -84,6 +84,6 @@ int main() {
   }
 
   std::printf("\nquery ran over %zu points; per-operator metrics:\n%s", kN,
-              rs->statements.back().metrics.ToString().c_str());
+              rs->statements.back().ToString().c_str());
   return 0;
 }

@@ -68,7 +68,7 @@ Status Run() {
   }
 
   std::printf("\n=== per-operator metrics of that run ===\n%s\n",
-              analyzed_script.statements.back().metrics.ToString().c_str());
+              analyzed_script.statements.back().ToString().c_str());
   std::printf("=== metrics registry snapshot ===\n%s\n",
               db.metrics_registry()->ToJson().c_str());
   return Status::OK();

@@ -78,7 +78,7 @@ int main() {
         std::cout << "(" << rs->last().num_rows() << " rows)\n";
       }
       if (show_metrics && !rs->statements.empty()) {
-        std::cout << rs->statements.back().metrics.ToString();
+        std::cout << rs->statements.back().ToString();
       }
     }
     std::cout << "radb> " << std::flush;

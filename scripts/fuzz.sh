@@ -27,12 +27,12 @@ ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
   "$BUILD_DIR/bench/fuzz_queries" --queries "$QUERIES" --seed "$SEED"
 
-# Tight-budget pass: rerun the SQL-LA / tiled / aggregation suites
-# with a 16 MB per-query memory budget (ctest label memory_budget), so
-# the spill paths face the same assertions as the unbudgeted runs —
+# Tight-budget pass: rerun the SQL-LA / aggregation suites with a
+# 16 MB per-query memory budget (ctest label memory_budget), so the
+# spill paths face the same assertions as the unbudgeted runs —
 # under the sanitizers.
 cmake --build "$BUILD_DIR" -j "$JOBS" \
-  --target sql_la_test tiled_test sql_agg_test
+  --target sql_la_test sql_agg_test
 (cd "$BUILD_DIR" && ctest -L memory_budget --output-on-failure)
 
 # Concurrency pass: the service/cancellation suites and the

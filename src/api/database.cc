@@ -179,6 +179,22 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// Plan-cache capacity in entries.
+constexpr size_t kPlanCacheEntries = 256;
+
+/// A one-column "plan" result set with one row per line of `text`
+/// (EXPLAIN and EXPLAIN ANALYZE output).
+ResultSet PlanTextResult(const std::string& text) {
+  ResultSet rs;
+  rs.columns.push_back(SlotInfo{0, "plan", DataType::String()});
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    rs.rows.push_back({Value::String(line)});
+  }
+  return rs;
+}
+
 /// Flattens a query's executed-operator metrics into the persistable
 /// records radb_operators serves.
 void AppendOperatorRecords(const QueryMetrics& qm, obs::QueryRecord* record) {
@@ -236,9 +252,8 @@ Database::Database(const Config& config)
       run->Observe(run_s);
     });
   }
-  if (config_.cache.enable_plan_cache && config_.cache.plan_cache_entries > 0) {
-    plan_cache_ =
-        std::make_unique<PlanCache>(config_.cache.plan_cache_entries);
+  if (config_.cache.enable_plan_cache) {
+    plan_cache_ = std::make_unique<PlanCache>(kPlanCacheEntries);
   }
   if (config_.cache.enable_result_cache &&
       config_.cache.result_cache_bytes > 0) {
@@ -253,9 +268,7 @@ Database::Database(const Config& config)
   // probe) and young pid-less files (age check) are left alone.
   (void)mem::SweepOrphanedSpillFiles(config_.spill_dir);
   telemetry_ = std::make_unique<obs::TelemetryStore>(
-      obs::TelemetryStore::Options{config_.telemetry.query_log_capacity,
-                                   config_.telemetry.max_operators_per_query,
-                                   config_.telemetry.max_sql_bytes});
+      obs::TelemetryStore::Options{config_.telemetry.query_log_capacity});
   if (config_.telemetry.enable_system_tables) {
     system_tables_ = std::make_unique<SystemTableCatalog>(this);
     catalog_.RegisterSystemTableProvider(system_tables_.get());
@@ -402,22 +415,120 @@ Status Database::BulkInsert(const std::string& table, std::vector<Row> rows) {
   return Status::OK();
 }
 
+struct Database::PlanRun {
+  Dist rows;
+  Executor::NodeMetrics node_metrics;
+  double seconds = 0.0;  // execution wall time
+};
+
+Result<std::shared_ptr<const CachedPlan>> Database::PlanSelect(
+    const parser::SelectStmt& stmt, obs::QueryRecord* record,
+    const std::string* cache_key, const std::vector<DataType>* param_types,
+    bool* plan_hit) {
+  const obs::ObsContext obs = obs_context();
+  // Plan cache: skip bind + optimize when this exact normalized
+  // statement was planned against this exact catalog version.
+  const bool use_cache = cache_key != nullptr && plan_cache_ != nullptr;
+  if (use_cache) {
+    auto cached = plan_cache_->Lookup(*cache_key, catalog_.version());
+    if (obs.metrics != nullptr) {
+      obs.metrics->Add(cached != nullptr ? "cache.plan_hits"
+                                         : "cache.plan_misses",
+                       1);
+    }
+    if (plan_hit != nullptr) *plan_hit = cached != nullptr;
+    if (cached != nullptr) {
+      if (record != nullptr) record->cache_plan_hits++;
+      return cached;
+    }
+  }
+  Binder binder(catalog_);
+  binder.SetParamTypes(param_types);
+  std::unique_ptr<BoundQuery> bound;
+  {
+    obs::ScopedSpan bind_span(obs.tracer, "bind", "pipeline");
+    PhaseTimer bind_timer(record, obs::QueryPhase::kBind);
+    RADB_ASSIGN_OR_RETURN(bound, binder.Bind(stmt));
+  }
+  auto entry = std::make_shared<CachedPlan>();
+  entry->out_columns = bound->output;
+  const size_t visible = bound->num_visible_outputs == 0
+                             ? entry->out_columns.size()
+                             : bound->num_visible_outputs;
+  entry->out_columns.resize(std::min(visible, entry->out_columns.size()));
+  Optimizer optimizer(config_.optimizer);
+  LogicalOpPtr planned;
+  {
+    obs::ScopedSpan optimize_span(obs.tracer, "optimize", "pipeline");
+    PhaseTimer optimize_timer(record, obs::QueryPhase::kOptimize);
+    RADB_ASSIGN_OR_RETURN(planned, optimizer.Plan(std::move(bound), obs));
+  }
+  PlanDeps pd = CollectTableDeps(*planned);
+  entry->plan = std::shared_ptr<const LogicalOp>(std::move(planned));
+  entry->catalog_version = catalog_.version();
+  entry->schema_version = catalog_.schema_version();
+  entry->deps = std::move(pd.deps);
+  // Plans over radb_* system tables embed a point-in-time snapshot
+  // Table and must be rebuilt every execution.
+  entry->result_cacheable = !pd.has_system_table;
+  if (use_cache && entry->result_cacheable) {
+    plan_cache_->Insert(*cache_key, entry);
+  }
+  return std::shared_ptr<const CachedPlan>(std::move(entry));
+}
+
+Result<Database::PlanRun> Database::RunPlan(const LogicalOp& plan,
+                                            const QueryOptions& options,
+                                            const obs::ObsContext& obs,
+                                            QueryMetrics* stats,
+                                            obs::QueryRecord* record) {
+  // Per-query memory governance: a fresh root tracker per statement,
+  // so a ResourceExhausted query releases everything it charged and
+  // the next query starts from a clean slate. Budget 0 = unlimited
+  // (the tracker still records the peak, which the ablation benchmark
+  // reads). The tracker reports into the Database registry even when
+  // `obs` carries a query-local one.
+  mem::MemoryTracker tracker("query", options.memory_budget_bytes,
+                             options.memory_parent, metrics_registry_.get());
+  MemoryContext mem{&tracker, config_.spill_dir, options.query_id,
+                    options.cancellation.get()};
+  PlanRun run;
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    obs::ScopedSpan exec_span(obs.tracer, "execute", "pipeline");
+    PhaseTimer exec_timer(record, obs::QueryPhase::kExecute);
+    // Execution writes into this statement's own QueryMetrics, so
+    // concurrent sessions never share mid-flight metrics state.
+    Executor executor(cluster_, stats, obs, CurrentExecContext().pool, mem,
+                      ExecOptions{config_.enable_vectorized,
+                                  config_.vectorized_batch_rows});
+    auto result = executor.Execute(plan);
+    stats->spill_bytes = tracker.spill_bytes();
+    stats->peak_memory_bytes = tracker.peak_bytes();
+    AppendOperatorRecords(*stats, record);
+    RADB_ASSIGN_OR_RETURN(run.rows, std::move(result));
+    run.node_metrics = executor.TakeNodeMetrics();
+  }
+  run.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return run;
+}
+
 Result<ResultSet> Database::RunSelect(const parser::SelectStmt& stmt,
                                       const QueryOptions& options,
-                                      QueryStats* stats,
+                                      QueryMetrics* stats,
                                       obs::QueryRecord* record,
                                       const std::string* cache_key) {
   const obs::ObsContext obs = obs_context();
-  const size_t budget = options.memory_budget_bytes != 0
-                            ? options.memory_budget_bytes
-                            : config_.memory_budget_bytes;
-  // 1. Result cache: replay a materialized result while every source
+  // Result cache: replay a materialized result while every source
   // table (and the schema) is unchanged. Served only when this call's
   // budget is unlimited or at least the filling run's peak, so a
   // budget that would have failed the cold run with ResourceExhausted
   // is never satisfied from cache.
   if (cache_key != nullptr && result_cache_ != nullptr) {
-    if (auto hit = result_cache_->Lookup(*cache_key, catalog_, budget)) {
+    if (auto hit = result_cache_->Lookup(*cache_key, catalog_,
+                                         options.memory_budget_bytes)) {
       if (record != nullptr) record->cache_result_hits++;
       if (obs.metrics != nullptr) obs.metrics->Add("cache.result_hits", 1);
       PhaseTimer serialize_timer(record, obs::QueryPhase::kSerialize);
@@ -430,70 +541,13 @@ Result<ResultSet> Database::RunSelect(const parser::SelectStmt& stmt,
       obs.metrics->Add("cache.result_misses", 1);
     }
   }
-
-  // 2. Plan cache: skip bind + optimize when this exact normalized
-  // statement was planned against this exact catalog version.
-  std::shared_ptr<const CachedPlan> cached;
-  if (cache_key != nullptr && plan_cache_ != nullptr) {
-    cached = plan_cache_->Lookup(*cache_key, catalog_.version());
-    if (obs.metrics != nullptr) {
-      obs.metrics->Add(cached != nullptr ? "cache.plan_hits"
-                                         : "cache.plan_misses",
-                       1);
-    }
-  }
-  std::shared_ptr<const LogicalOp> plan;
-  std::vector<SlotInfo> out_columns;
-  std::vector<TableDep> deps;
-  bool result_cacheable = false;
-  if (cached != nullptr) {
-    if (record != nullptr) record->cache_plan_hits++;
-    plan = cached->plan;
-    out_columns = cached->out_columns;
-    deps = cached->deps;
-    result_cacheable = cached->result_cacheable;
-  } else {
-    Binder binder(catalog_);
-    std::unique_ptr<BoundQuery> bound;
-    {
-      obs::ScopedSpan bind_span(obs.tracer, "bind", "pipeline");
-      PhaseTimer bind_timer(record, obs::QueryPhase::kBind);
-      RADB_ASSIGN_OR_RETURN(bound, binder.Bind(stmt));
-    }
-    out_columns = bound->output;
-    const size_t visible = bound->num_visible_outputs == 0
-                               ? out_columns.size()
-                               : bound->num_visible_outputs;
-    out_columns.resize(std::min(visible, out_columns.size()));
-    Optimizer optimizer(config_.optimizer);
-    LogicalOpPtr planned;
-    {
-      obs::ScopedSpan optimize_span(obs.tracer, "optimize", "pipeline");
-      PhaseTimer optimize_timer(record, obs::QueryPhase::kOptimize);
-      RADB_ASSIGN_OR_RETURN(planned, optimizer.Plan(std::move(bound), obs));
-    }
-    PlanDeps pd = CollectTableDeps(*planned);
-    deps = std::move(pd.deps);
-    // Plans over radb_* system tables embed a point-in-time snapshot
-    // Table and must be rebuilt every execution.
-    result_cacheable = !pd.has_system_table;
-    plan = std::shared_ptr<const LogicalOp>(std::move(planned));
-    if (cache_key != nullptr && plan_cache_ != nullptr && result_cacheable) {
-      auto entry = std::make_shared<CachedPlan>();
-      entry->plan = plan;
-      entry->out_columns = out_columns;
-      entry->catalog_version = catalog_.version();
-      entry->schema_version = catalog_.schema_version();
-      entry->deps = deps;
-      entry->result_cacheable = true;
-      plan_cache_->Insert(*cache_key, std::move(entry));
-    }
-  }
-
-  RADB_ASSIGN_OR_RETURN(ResultSet rs, ExecutePlanRows(*plan, out_columns,
-                                                      options, stats, record));
-  if (cache_key != nullptr && result_cacheable) {
-    MaybeCacheResult(*cache_key, rs, deps, stats->peak_memory_bytes);
+  RADB_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> entry,
+                        PlanSelect(stmt, record, cache_key));
+  RADB_ASSIGN_OR_RETURN(
+      ResultSet rs, ExecutePlanRows(*entry->plan, entry->out_columns, options,
+                                    stats, record));
+  if (cache_key != nullptr && entry->result_cacheable) {
+    MaybeCacheResult(*cache_key, rs, entry->deps, stats->peak_memory_bytes);
   }
   return rs;
 }
@@ -515,42 +569,10 @@ void Database::MaybeCacheResult(const std::string& cache_key,
 
 Result<ResultSet> Database::ExecutePlanRows(
     const LogicalOp& plan, const std::vector<SlotInfo>& out_columns,
-    const QueryOptions& options, QueryStats* stats,
+    const QueryOptions& options, QueryMetrics* stats,
     obs::QueryRecord* record) {
-  const obs::ObsContext obs = obs_context();
-  // Per-query memory governance: a fresh root tracker per SELECT, so
-  // a ResourceExhausted query releases everything it charged and the
-  // next query starts from a clean slate. Budget 0 = unlimited (the
-  // tracker still records the peak, which the ablation benchmark
-  // reads).
-  const size_t budget = options.memory_budget_bytes != 0
-                            ? options.memory_budget_bytes
-                            : config_.memory_budget_bytes;
-  mem::MemoryTracker tracker("query", budget, options.memory_parent,
-                             obs.metrics);
-  MemoryContext mem{&tracker, config_.spill_dir, options.query_id,
-                    options.cancellation.get()};
-  // Execution writes into this statement's own QueryMetrics, so
-  // concurrent sessions never share mid-flight metrics state.
-  QueryMetrics& qm = stats->metrics;
-  const auto t0 = std::chrono::steady_clock::now();
-  Dist dist;
-  {
-    obs::ScopedSpan exec_span(obs.tracer, "execute", "pipeline");
-    PhaseTimer exec_timer(record, obs::QueryPhase::kExecute);
-    Executor executor(cluster_, &qm, obs, CurrentExecContext().pool, mem,
-                      ExecOptions{config_.enable_vectorized,
-                                  config_.vectorized_batch_rows});
-    auto result = executor.Execute(plan);
-    stats->spill_bytes = tracker.spill_bytes();
-    stats->peak_memory_bytes = tracker.peak_bytes();
-    AppendOperatorRecords(qm, record);
-    RADB_ASSIGN_OR_RETURN(dist, std::move(result));
-  }
-  qm.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
+  RADB_ASSIGN_OR_RETURN(PlanRun run,
+                        RunPlan(plan, options, obs_context(), stats, record));
   PhaseTimer serialize_timer(record, obs::QueryPhase::kSerialize);
   ResultSet rs;
   rs.columns = plan.output;
@@ -561,7 +583,7 @@ Result<ResultSet> Database::ExecutePlanRows(
       rs.columns[i].name = out_columns[i].name;
     }
   }
-  for (RowSet& partition : dist) {
+  for (RowSet& partition : run.rows) {
     for (Row& row : partition) {
       if (row.size() > rs.columns.size()) row.resize(rs.columns.size());
       rs.rows.push_back(std::move(row));
@@ -572,7 +594,7 @@ Result<ResultSet> Database::ExecutePlanRows(
 
 Result<ResultSet> Database::RunExecutePrepared(const parser::Statement& stmt,
                                                const QueryOptions& options,
-                                               QueryStats* stats,
+                                               QueryMetrics* stats,
                                                obs::QueryRecord* record) {
   const obs::ObsContext obs = obs_context();
   const std::string name = ToLower(stmt.relation_name);
@@ -618,49 +640,19 @@ Result<ResultSet> Database::RunExecutePrepared(const parser::Statement& stmt,
     if (obs.metrics != nullptr) obs.metrics->Add("cache.plan_hits", 1);
   } else {
     if (obs.metrics != nullptr) obs.metrics->Add("cache.plan_misses", 1);
-    Binder binder(catalog_);
-    binder.SetParamTypes(&arg_types);
-    std::unique_ptr<BoundQuery> bound;
-    {
-      obs::ScopedSpan bind_span(obs.tracer, "bind", "pipeline");
-      PhaseTimer bind_timer(record, obs::QueryPhase::kBind);
-      RADB_ASSIGN_OR_RETURN(bound, binder.Bind(*prep->body));
-    }
-    auto entry = std::make_shared<CachedPlan>();
-    entry->out_columns = bound->output;
-    const size_t visible = bound->num_visible_outputs == 0
-                               ? entry->out_columns.size()
-                               : bound->num_visible_outputs;
-    entry->out_columns.resize(
-        std::min(visible, entry->out_columns.size()));
-    Optimizer optimizer(config_.optimizer);
-    LogicalOpPtr planned;
-    {
-      obs::ScopedSpan optimize_span(obs.tracer, "optimize", "pipeline");
-      PhaseTimer optimize_timer(record, obs::QueryPhase::kOptimize);
-      RADB_ASSIGN_OR_RETURN(planned, optimizer.Plan(std::move(bound), obs));
-    }
-    PlanDeps pd = CollectTableDeps(*planned);
-    entry->plan = std::shared_ptr<const LogicalOp>(std::move(planned));
-    entry->catalog_version = catalog_.version();
-    entry->schema_version = catalog_.schema_version();
-    entry->deps = std::move(pd.deps);
-    // EXECUTE results are never cached: the name -> body mapping can
-    // be replaced by PREPARE without any catalog change, so a textual
-    // "execute q(...)" key could go stale invisibly.
-    entry->result_cacheable = false;
-    tmpl = entry;
-    {
-      std::lock_guard<std::mutex> lock(prepared_mu_);
-      prep->plan = tmpl;
-      prep->param_types = arg_types;
-    }
+    RADB_ASSIGN_OR_RETURN(tmpl,
+                          PlanSelect(*prep->body, record, nullptr, &arg_types));
+    std::lock_guard<std::mutex> lock(prepared_mu_);
+    prep->plan = tmpl;
+    prep->param_types = arg_types;
   }
 
   // Substitute the arguments into a private clone; the template stays
   // parameter-abstract for the next EXECUTE. Re-annotate batch
   // capability: literals vectorize where an abstract parameter
-  // could not.
+  // could not. EXECUTE results are never cached: the name -> body
+  // mapping can be replaced by PREPARE without any catalog change, so
+  // a textual "execute q(...)" key could go stale invisibly.
   LogicalOpPtr plan = tmpl->plan->Clone();
   RADB_RETURN_NOT_OK(SubstituteParams(plan.get(), args));
   AnnotateBatchCapability(*plan);
@@ -701,7 +693,7 @@ std::optional<ScriptResult> Database::ExecuteCachedOnly(
     ResultSet rs;
     rs.columns = hit->columns;
     rs.rows = hit->rows;
-    QueryStats qs;
+    QueryMetrics qs;
     qs.rows = rs.num_rows();
     record.rows += static_cast<int64_t>(rs.num_rows());
     script.result_sets.push_back(std::move(rs));
@@ -750,6 +742,10 @@ Result<ScriptResult> Database::Execute(const std::string& sql,
       opts.cancellation->ArmDeadlineMs(opts.deadline_ms);
     }
   }
+  // The effective budget of every statement in the call.
+  if (opts.memory_budget_bytes == 0) {
+    opts.memory_budget_bytes = config_.memory_budget_bytes;
+  }
   // One id per call: every statement of the script shares it, and the
   // telemetry record, spill files and pool task tags all agree.
   if (opts.query_id == 0) {
@@ -787,7 +783,7 @@ Result<ScriptResult> Database::Execute(const std::string& sql,
     for (const ResultSet& rs : result->result_sets) {
       record.rows += static_cast<int64_t>(rs.num_rows());
     }
-    for (const QueryStats& s : result->statements) {
+    for (const QueryMetrics& s : result->statements) {
       record.spill_bytes += static_cast<int64_t>(s.spill_bytes);
       record.peak_memory_bytes =
           std::max(record.peak_memory_bytes,
@@ -867,7 +863,7 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
       RADB_RETURN_NOT_OK(opts.cancellation->Check());
     }
     const auto stmt_t0 = std::chrono::steady_clock::now();
-    QueryStats stats;
+    QueryMetrics stats;
     size_t stmt_rows = 0;
     switch (stmt.kind) {
       case parser::Statement::Kind::kSelect: {
@@ -887,20 +883,11 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
           script.result_sets.push_back(std::move(rs));
           break;
         }
-        Binder binder(catalog_);
-        RADB_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound,
-                              binder.Bind(*stmt.select));
-        Optimizer optimizer(config_.optimizer);
-        RADB_ASSIGN_OR_RETURN(LogicalOpPtr plan,
-                              optimizer.Plan(std::move(bound)));
-        ResultSet rs;
-        rs.columns.push_back(SlotInfo{0, "plan", DataType::String()});
-        std::istringstream lines(plan->ToString() + "estimated cost: " +
-                                 std::to_string(plan->est_cost));
-        std::string line;
-        while (std::getline(lines, line)) {
-          rs.rows.push_back({Value::String(line)});
-        }
+        RADB_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> entry,
+                              PlanSelect(*stmt.select, record, nullptr));
+        ResultSet rs = PlanTextResult(entry->plan->ToString() +
+                                      "estimated cost: " +
+                                      std::to_string(entry->plan->est_cost));
         stmt_rows = rs.num_rows();
         script.result_sets.push_back(std::move(rs));
         break;
@@ -1081,13 +1068,15 @@ namespace {
 /// operators (partial + final); their metrics fold into one line:
 /// actuals come from the final stage, shuffle/time are summed, skew is
 /// the worst of the two.
-void RenderAnalyzed(const LogicalOp& op, const Executor& executor,
+void RenderAnalyzed(const LogicalOp& op,
+                    const Executor::NodeMetrics& node_metrics,
                     const QueryMetrics& qm, int indent,
                     std::ostringstream& os) {
   const std::string pad(static_cast<size_t>(indent) * 2, ' ');
   os << pad << op.NodeLabel() << "\n";
-  const std::vector<size_t>* ids = executor.MetricsForNode(&op);
-  if (ids != nullptr && !ids->empty()) {
+  auto it = node_metrics.find(&op);
+  if (it != node_metrics.end() && !it->second.empty()) {
+    const std::vector<size_t>* ids = &it->second;
     const OperatorMetrics& final_stage = qm.operators[ids->back()];
     size_t rows_shuffled = 0, bytes_shuffled = 0;
     size_t bytes_spilled = 0, spill_runs = 0;
@@ -1120,7 +1109,7 @@ void RenderAnalyzed(const LogicalOp& op, const Executor& executor,
     os << ")\n";
   }
   for (const auto& c : op.children) {
-    RenderAnalyzed(*c, executor, qm, indent + 1, os);
+    RenderAnalyzed(*c, node_metrics, qm, indent + 1, os);
   }
 }
 
@@ -1128,63 +1117,18 @@ void RenderAnalyzed(const LogicalOp& op, const Executor& executor,
 
 Result<ResultSet> Database::ExplainAnalyzeSelect(
     const parser::SelectStmt& stmt, const QueryOptions& options,
-    QueryStats* stats, obs::QueryRecord* record,
+    QueryMetrics* stats, obs::QueryRecord* record,
     const std::string* cache_key) {
   const obs::ObsContext obs = obs_context();
   // Plan-cache consult under the EXPLAIN's own normalized text (a
   // different key space from the bare SELECT; both resolve to the
   // same plan shape). Results of EXPLAIN ANALYZE are never cached —
   // the point is fresh execution metrics.
-  std::shared_ptr<const CachedPlan> cached;
-  if (cache_key != nullptr && plan_cache_ != nullptr) {
-    cached = plan_cache_->Lookup(*cache_key, catalog_.version());
-    if (obs.metrics != nullptr) {
-      obs.metrics->Add(cached != nullptr ? "cache.plan_hits"
-                                         : "cache.plan_misses",
-                       1);
-    }
-  }
-  std::shared_ptr<const LogicalOp> splan;
-  if (cached != nullptr) {
-    if (record != nullptr) record->cache_plan_hits++;
-    splan = cached->plan;
-  } else {
-    Binder binder(catalog_);
-    std::unique_ptr<BoundQuery> bound;
-    {
-      obs::ScopedSpan bind_span(obs.tracer, "bind", "pipeline");
-      PhaseTimer bind_timer(record, obs::QueryPhase::kBind);
-      RADB_ASSIGN_OR_RETURN(bound, binder.Bind(stmt));
-    }
-    Optimizer optimizer(config_.optimizer);
-    LogicalOpPtr planned;
-    {
-      obs::ScopedSpan optimize_span(obs.tracer, "optimize", "pipeline");
-      PhaseTimer optimize_timer(record, obs::QueryPhase::kOptimize);
-      RADB_ASSIGN_OR_RETURN(planned, optimizer.Plan(std::move(bound), obs));
-    }
-    PlanDeps pd = CollectTableDeps(*planned);
-    splan = std::shared_ptr<const LogicalOp>(std::move(planned));
-    if (cache_key != nullptr && plan_cache_ != nullptr &&
-        !pd.has_system_table) {
-      auto entry = std::make_shared<CachedPlan>();
-      entry->plan = splan;
-      entry->catalog_version = catalog_.version();
-      entry->schema_version = catalog_.schema_version();
-      entry->deps = std::move(pd.deps);
-      entry->result_cacheable = false;
-      plan_cache_->Insert(*cache_key, std::move(entry));
-    }
-  }
-  const LogicalOp* plan = splan.get();
-
-  const size_t budget = options.memory_budget_bytes != 0
-                            ? options.memory_budget_bytes
-                            : config_.memory_budget_bytes;
-  mem::MemoryTracker tracker("query", budget, options.memory_parent,
-                             obs.metrics);
-  MemoryContext mem{&tracker, config_.spill_dir, options.query_id,
-                    options.cancellation.get()};
+  bool plan_hit = false;
+  RADB_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> entry,
+                        PlanSelect(stmt, record, cache_key, nullptr,
+                                   &plan_hit));
+  const LogicalOp& plan = *entry->plan;
   // The execution reports into a registry of its own, so the footer's
   // sparse-dispatch counts are exactly this statement's even while
   // other sessions run; it is folded into the Database registry as
@@ -1192,39 +1136,23 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
   obs::MetricsRegistry local;
   obs::ObsContext exec_obs = obs;
   if (obs.metrics != nullptr) exec_obs.metrics = &local;
-  QueryMetrics& qm = stats->metrics;
-  const auto t0 = std::chrono::steady_clock::now();
-  // The executor outlives Execute so its plan-node -> metrics map is
-  // available for rendering.
-  Executor executor(cluster_, &qm, exec_obs, CurrentExecContext().pool, mem,
-                    ExecOptions{config_.enable_vectorized,
-                                config_.vectorized_batch_rows});
-  {
-    obs::ScopedSpan exec_span(obs.tracer, "execute", "pipeline");
-    PhaseTimer exec_timer(record, obs::QueryPhase::kExecute);
-    auto result = executor.Execute(*plan);
-    if (obs.metrics != nullptr) local.MergeInto(obs.metrics);
-    stats->spill_bytes = tracker.spill_bytes();
-    stats->peak_memory_bytes = tracker.peak_bytes();
-    AppendOperatorRecords(qm, record);
-    RADB_RETURN_NOT_OK(result.status());
-  }
-  qm.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  Result<PlanRun> run = RunPlan(plan, options, exec_obs, stats, record);
+  if (obs.metrics != nullptr) local.MergeInto(obs.metrics);
+  RADB_RETURN_NOT_OK(run.status());
 
+  const QueryMetrics& qm = *stats;
   std::ostringstream os;
-  RenderAnalyzed(*plan, executor, qm, 0, os);
-  os << "wall time: " << qm.wall_seconds << " s"
+  RenderAnalyzed(plan, run->node_metrics, qm, 0, os);
+  os << "wall time: " << run->seconds << " s"
      << "; simulated parallel time: " << qm.SimulatedParallelSeconds() << " s"
      << "; total shuffled: " << FormatBytes(double(qm.TotalBytesShuffled()));
-  if (stats->spill_bytes > 0) {
-    os << "; total spilled: " << FormatBytes(double(stats->spill_bytes))
-       << " (peak memory " << FormatBytes(double(stats->peak_memory_bytes))
+  if (qm.spill_bytes > 0) {
+    os << "; total spilled: " << FormatBytes(double(qm.spill_bytes))
+       << " (peak memory " << FormatBytes(double(qm.peak_memory_bytes))
        << ")";
   }
   if (cache_key != nullptr && plan_cache_ != nullptr) {
-    os << "; cache=" << (cached != nullptr ? "plan-hit" : "miss");
+    os << "; cache=" << (plan_hit ? "plan-hit" : "miss");
   }
   if (obs.metrics != nullptr) {
     const uint64_t sparse_calls =
@@ -1238,14 +1166,7 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
          << " auto=" << auto_calls << " densified=" << densify_calls;
     }
   }
-  ResultSet rs;
-  rs.columns.push_back(SlotInfo{0, "plan", DataType::String()});
-  std::istringstream lines(os.str());
-  std::string line;
-  while (std::getline(lines, line)) {
-    rs.rows.push_back({Value::String(line)});
-  }
-  return rs;
+  return PlanTextResult(os.str());
 }
 
 Status Database::WriteObsFiles() const {
@@ -1315,20 +1236,20 @@ Status Database::LoadTable(const std::string& table,
 }
 
 Result<std::string> Database::Explain(const std::string& select_sql) {
-  RADB_ASSIGN_OR_RETURN(LogicalOpPtr plan, PlanQuery(select_sql));
+  RADB_ASSIGN_OR_RETURN(std::shared_ptr<const LogicalOp> plan,
+                        PlanQuery(select_sql));
   std::ostringstream os;
   os << plan->ToString();
   os << "estimated cost: " << plan->est_cost << "\n";
   return os.str();
 }
 
-Result<LogicalOpPtr> Database::PlanQuery(const std::string& select_sql) {
+Result<std::shared_ptr<const LogicalOp>> Database::PlanQuery(
+    const std::string& select_sql) {
   RADB_ASSIGN_OR_RETURN(auto select, parser::ParseSelect(select_sql));
-  Binder binder(catalog_);
-  RADB_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound,
-                        binder.Bind(*select));
-  Optimizer optimizer(config_.optimizer);
-  return optimizer.Plan(std::move(bound));
+  RADB_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> entry,
+                        PlanSelect(*select, nullptr, nullptr));
+  return entry->plan;
 }
 
 }  // namespace radb

@@ -84,9 +84,9 @@ struct QueryOptions {
   /// statement fails with DeadlineExceeded; already-completed
   /// statements of the script are discarded with it.
   uint64_t deadline_ms = 0;
-  /// Cooperative cancellation handle. When set, executor row loops
-  /// and LA kernels poll it; Cancel() from any thread aborts the call
-  /// with Cancelled. Execute creates one internally when deadline_ms
+  /// Cooperative cancellation handle. When set, the executor's row
+  /// loops poll it; Cancel() from any thread aborts the call with
+  /// Cancelled. Execute creates one internally when deadline_ms
   /// is set without a token.
   std::shared_ptr<CancellationToken> cancellation;
   /// Query id used for spill-file attribution and thread-pool task
@@ -107,26 +107,13 @@ struct QueryOptions {
   uint64_t latch_wait_micros = 0;
 };
 
-/// Cheap per-statement execution summary, collected for every
-/// statement of an Execute call regardless of observability settings.
-struct QueryStats {
-  size_t rows = 0;           // rows in the statement's result set
-  double wall_seconds = 0.0;
-  size_t spill_bytes = 0;       // bytes written to spill files
-  size_t peak_memory_bytes = 0; // tracked high-water mark
-  /// Per-operator times, rows and shuffle volume of the statement's
-  /// execution (the Figure 4 data); empty for statements that ran no
-  /// plan, and for results served from the result cache.
-  QueryMetrics metrics;
-};
-
 /// Everything an Execute call produced: one ResultSet per
 /// result-producing statement (SELECT / EXPLAIN / EXPLAIN ANALYZE, in
-/// script order — not just the last one) and one QueryStats per
+/// script order — not just the last one) and one QueryMetrics per
 /// statement of the script.
 struct ScriptResult {
   std::vector<ResultSet> result_sets;
-  std::vector<QueryStats> statements;
+  std::vector<QueryMetrics> statements;
 
   bool has_results() const { return !result_sets.empty(); }
   /// The last result set; result_sets must be non-empty.
@@ -202,12 +189,10 @@ class Database {
     /// prefix stays reserved either way).
     bool enable_system_tables = true;
     /// Completed-query records retained for radb_queries /
-    /// radb_operators (oldest evicted first).
+    /// radb_operators (oldest evicted first). Each keeps at most
+    /// obs::TelemetryStore::kMaxOperatorsPerQuery operators and
+    /// kMaxSqlBytes of SQL text.
     size_t query_log_capacity = 256;
-    /// Per-query cap on persisted operator records.
-    size_t max_operators_per_query = 64;
-    /// SQL text is truncated to this many bytes in records.
-    size_t max_sql_bytes = 1024;
     /// Queries whose end-to-end time (queue wait included) reaches
     /// this threshold emit one structured JSON line with the full
     /// phase breakdown. 0 = slow-query log off.
@@ -259,10 +244,9 @@ class Database {
       /// Plan cache: normalized statement text -> optimized plan,
       /// invalidated by any catalog change (DDL or DML — a plan
       /// embeds table pointers and cardinality estimates). Capacity
-      /// is an entry count; 0 or enable_plan_cache=false turns it
+      /// is a fixed 256 entries; enable_plan_cache=false turns it
       /// off.
       bool enable_plan_cache = true;
-      size_t plan_cache_entries = 256;
       /// Result cache: materialized result sets of deterministic
       /// read-only statements, replayed while every source table is
       /// unchanged (per-table versions + schema version). Bytes are
@@ -392,7 +376,8 @@ class Database {
 
   /// Optimizes a SELECT and returns the logical plan (for tests that
   /// inspect plan shape).
-  Result<LogicalOpPtr> PlanQuery(const std::string& select_sql);
+  Result<std::shared_ptr<const LogicalOp>> PlanQuery(
+      const std::string& select_sql);
 
   /// Programmatic CREATE TABLE, equivalent to executing the DDL: the
   /// table is registered in the catalog AND attached to the persistent
@@ -463,31 +448,52 @@ class Database {
     std::vector<DataType> param_types;       // types `plan` was bound with
   };
 
+  /// What RunPlan hands back (defined in database.cc).
+  struct PlanRun;
+
+  /// The one planner behind every SELECT-shaped statement (SELECT,
+  /// CREATE TABLE AS, EXPLAIN, EXPLAIN ANALYZE, EXECUTE, PlanQuery):
+  /// plan-cache probe, bind (with `param_types` for a prepared body),
+  /// visible-output trim, optimize, table dependencies, and plan-cache
+  /// insert. `cache_key`, when non-null, is the statement's normalized
+  /// text and enables the plan cache; `plan_hit` (optional) reports
+  /// whether the plan came from it. A hit hands back the shared entry.
+  Result<std::shared_ptr<const CachedPlan>> PlanSelect(
+      const parser::SelectStmt& stmt, obs::QueryRecord* record,
+      const std::string* cache_key,
+      const std::vector<DataType>* param_types = nullptr,
+      bool* plan_hit = nullptr);
+  /// The one runner: executes an optimized plan under a fresh
+  /// per-query memory tracker, reporting into `obs` (EXPLAIN ANALYZE
+  /// passes a query-local registry) and filling `stats` (operators,
+  /// spill, peak) and the record's operator rows.
+  Result<PlanRun> RunPlan(const LogicalOp& plan, const QueryOptions& options,
+                          const obs::ObsContext& obs, QueryMetrics* stats,
+                          obs::QueryRecord* record);
+
   /// The statement helpers below run inside Execute(), whose
-  /// ExecContext supplies the call's pool; `options.query_id` is
-  /// already assigned. `stats` receives the statement's execution
-  /// summary. `cache_key`, when non-null, is the statement's
-  /// normalized text and enables the plan/result caches for this
-  /// statement.
+  /// ExecContext supplies the call's pool; `options.query_id` and the
+  /// effective `options.memory_budget_bytes` are already resolved.
+  /// `stats` receives the statement's execution summary. `cache_key`,
+  /// when non-null, is the statement's normalized text and enables
+  /// the plan/result caches for this statement.
   Result<ResultSet> RunSelect(const parser::SelectStmt& stmt,
-                              const QueryOptions& options, QueryStats* stats,
+                              const QueryOptions& options, QueryMetrics* stats,
                               obs::QueryRecord* record,
                               const std::string* cache_key = nullptr);
-  /// Executes an already-optimized plan: per-query memory tracker,
-  /// executor, stats, and serialization to a ResultSet with
-  /// `out_columns` (hidden sort keys trimmed). The shared tail of the
-  /// cold path, the plan-cache hit path, and EXECUTE.
+  /// RunPlan, then serialization to a ResultSet with `out_columns`
+  /// (hidden sort keys trimmed). The shared tail of SELECT and EXECUTE.
   Result<ResultSet> ExecutePlanRows(const LogicalOp& plan,
                                     const std::vector<SlotInfo>& out_columns,
                                     const QueryOptions& options,
-                                    QueryStats* stats,
+                                    QueryMetrics* stats,
                                     obs::QueryRecord* record);
   /// EXECUTE name (args): evaluates the constant arguments, reuses or
   /// (re)builds the prepared plan template, substitutes parameters
   /// into a private clone, and executes it.
   Result<ResultSet> RunExecutePrepared(const parser::Statement& stmt,
                                        const QueryOptions& options,
-                                       QueryStats* stats,
+                                       QueryMetrics* stats,
                                        obs::QueryRecord* record);
   /// Inserts a successful SELECT's result into the result cache when
   /// eligible (cache on, key present, deterministic plan).
@@ -500,7 +506,7 @@ class Database {
   /// cache=plan-hit / cache=miss.
   Result<ResultSet> ExplainAnalyzeSelect(const parser::SelectStmt& stmt,
                                          const QueryOptions& options,
-                                         QueryStats* stats,
+                                         QueryMetrics* stats,
                                          obs::QueryRecord* record,
                                          const std::string* cache_key);
   /// The statement loop behind Execute(); `record` accumulates the

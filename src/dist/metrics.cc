@@ -48,26 +48,6 @@ size_t QueryMetrics::TotalBytesShuffled() const {
   return s;
 }
 
-size_t QueryMetrics::TotalRowsProcessed() const {
-  size_t s = 0;
-  for (const OperatorMetrics& op : operators) s += op.rows_out;
-  return s;
-}
-
-size_t QueryMetrics::TotalBytesSpilled() const {
-  size_t s = 0;
-  for (const OperatorMetrics& op : operators) s += op.bytes_spilled;
-  return s;
-}
-
-double QueryMetrics::MaxEstimationError() const {
-  double worst = 0.0;
-  for (const OperatorMetrics& op : operators) {
-    worst = std::max(worst, op.EstimationError());
-  }
-  return worst;
-}
-
 double QueryMetrics::SecondsForOperatorsContaining(
     const std::string& substr) const {
   double s = 0.0;
@@ -134,8 +114,8 @@ std::string QueryMetrics::ToString() const {
   os << "total wall " << FormatSeconds(wall_seconds) << " | simulated parallel "
      << FormatSeconds(SimulatedParallelSeconds()) << " | shuffled "
      << FormatBytes(static_cast<double>(TotalBytesShuffled()));
-  if (TotalBytesSpilled() > 0) {
-    os << " | spilled " << FormatBytes(static_cast<double>(TotalBytesSpilled()));
+  if (spill_bytes > 0) {
+    os << " | spilled " << FormatBytes(static_cast<double>(spill_bytes));
   }
   os << '\n';
   return os.str();
@@ -149,9 +129,9 @@ std::string QueryMetrics::ToJson() const {
      << ",\n  \"simulated_parallel_seconds\": "
      << JsonNumber(SimulatedParallelSeconds())
      << ",\n  \"total_bytes_shuffled\": " << TotalBytesShuffled()
-     << ",\n  \"total_bytes_spilled\": " << TotalBytesSpilled()
-     << ",\n  \"total_rows_processed\": " << TotalRowsProcessed()
-     << ",\n  \"max_estimation_error\": " << JsonNumber(MaxEstimationError())
+     << ",\n  \"rows\": " << rows
+     << ",\n  \"spill_bytes\": " << spill_bytes
+     << ",\n  \"peak_memory_bytes\": " << peak_memory_bytes
      << ",\n  \"operators\": [";
   for (size_t i = 0; i < operators.size(); ++i) {
     const OperatorMetrics& op = operators[i];

@@ -44,23 +44,22 @@ struct OperatorMetrics {
   double EstimationError() const;
 };
 
-/// Whole-query metrics: the operator list in execution order.
+/// One statement's execution profile: the operator list in execution
+/// order (empty for statements that ran no plan, and for results
+/// served from the result cache) plus the statement's totals. Database
+/// returns one per statement (ScriptResult::statements).
 struct QueryMetrics {
   std::vector<OperatorMetrics> operators;
-  double wall_seconds = 0.0;
+  size_t rows = 0;               // rows in the statement's result set
+  double wall_seconds = 0.0;     // the statement's wall time
+  size_t spill_bytes = 0;        // bytes written to spill files
+  size_t peak_memory_bytes = 0;  // tracked high-water mark
 
   /// Sum over operators of the slowest worker — the time a real
   /// shared-nothing cluster would take if every operator were a
   /// barrier stage.
   double SimulatedParallelSeconds() const;
   size_t TotalBytesShuffled() const;
-  size_t TotalRowsProcessed() const;
-  /// Bytes the whole query spilled to disk under memory pressure.
-  size_t TotalBytesSpilled() const;
-
-  /// Worst per-operator EstimationError() across the query — how far
-  /// off the optimizer's costing was anywhere in the plan.
-  double MaxEstimationError() const;
 
   /// Human-readable per-operator breakdown table.
   std::string ToString() const;

@@ -114,6 +114,9 @@ class Executor {
     virtual Status AppendRow(size_t wkr, Row joined) = 0;
   };
 
+  /// Plan node -> indexes into metrics()->operators.
+  using NodeMetrics = std::map<const LogicalOp*, std::vector<size_t>>;
+
   /// Indexes into metrics()->operators of the OperatorMetrics this
   /// execution produced for `node` (an Aggregate yields two: partial
   /// and final). nullptr when the node was never executed. Used by
@@ -121,6 +124,11 @@ class Executor {
   const std::vector<size_t>* MetricsForNode(const LogicalOp* node) const {
     auto it = node_metrics_.find(node);
     return it == node_metrics_.end() ? nullptr : &it->second;
+  }
+  /// Moves out the whole node -> metrics map once execution is done,
+  /// so it outlives the executor.
+  NodeMetrics TakeNodeMetrics() {
+    return std::move(node_metrics_);
   }
 
  private:
@@ -183,7 +191,7 @@ class Executor {
   ThreadPool* pool_ = nullptr;
   MemoryContext mem_;
   ExecOptions opts_;
-  std::map<const LogicalOp*, std::vector<size_t>> node_metrics_;
+  NodeMetrics node_metrics_;
   /// Installed (and save/restored) by VectorizedPipeline around the
   /// execution of a boundary join; `join_sink_op_` pins the sink to
   /// that one join node so joins nested deeper in the subtree are

@@ -25,14 +25,14 @@ const char* QueryPhaseName(QueryPhase phase) {
 TelemetryStore::TelemetryStore(Options options) : options_(options) {}
 
 std::string TelemetryStore::Truncated(const std::string& sql) const {
-  if (sql.size() <= options_.max_sql_bytes) return sql;
-  return sql.substr(0, options_.max_sql_bytes) + "...";
+  if (sql.size() <= kMaxSqlBytes) return sql;
+  return sql.substr(0, kMaxSqlBytes) + "...";
 }
 
 uint64_t TelemetryStore::RecordQuery(QueryRecord record) {
   record.sql = Truncated(record.sql);
-  if (record.operators.size() > options_.max_operators_per_query) {
-    record.operators.resize(options_.max_operators_per_query);
+  if (record.operators.size() > kMaxOperatorsPerQuery) {
+    record.operators.resize(kMaxOperatorsPerQuery);
   }
   std::lock_guard<std::mutex> lock(mu_);
   record.ordinal = next_ordinal_++;

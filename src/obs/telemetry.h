@@ -69,7 +69,7 @@ struct QueryRecord {
   uint64_t ordinal = 0;  // assigned by the store; monotone insert order
   uint64_t query_id = 0;
   uint64_t session_id = 0;  // 0 = standalone (no service session)
-  std::string sql;          // possibly truncated to max_sql_bytes
+  std::string sql;          // possibly truncated to kMaxSqlBytes
   std::string status;       // StatusCodeName: "OK", "CANCELLED", ...
   int64_t rows = 0;         // total rows across the script's result sets
   int64_t peak_memory_bytes = 0;
@@ -100,10 +100,11 @@ struct SessionRecord {
 class TelemetryStore {
  public:
   struct Options {
-    size_t query_capacity = 256;       // ring size for radb_queries
-    size_t max_operators_per_query = 64;
-    size_t max_sql_bytes = 1024;
+    size_t query_capacity = 256;  // ring size for radb_queries
   };
+  /// Per-record caps: operator rows kept and SQL bytes before "...".
+  static constexpr size_t kMaxOperatorsPerQuery = 64;
+  static constexpr size_t kMaxSqlBytes = 1024;
 
   TelemetryStore() : TelemetryStore(Options{}) {}
   explicit TelemetryStore(Options options);

@@ -109,19 +109,21 @@ Result<RunOutcome> SqlWorkload::RunScript(
   for (const std::string& sql : statements) {
     RADB_ASSIGN_OR_RETURN(ScriptResult script, db_.Execute(sql));
     if (script.has_results()) *last = std::move(script.result_sets.back());
-    for (QueryStats& st : script.statements) {
-      out.simulated_seconds += st.metrics.SimulatedParallelSeconds();
-      out.bytes_shuffled += st.metrics.TotalBytesShuffled();
+    for (QueryMetrics& st : script.statements) {
+      out.simulated_seconds += st.SimulatedParallelSeconds();
+      out.bytes_shuffled += st.TotalBytesShuffled();
       out.spill_bytes += st.spill_bytes;
       out.peak_tracked_bytes =
           std::max(out.peak_tracked_bytes, st.peak_memory_bytes);
-      for (OperatorMetrics& op : st.metrics.operators) {
+      for (OperatorMetrics& op : st.operators) {
         out.metrics.operators.push_back(std::move(op));
       }
     }
   }
   out.wall_seconds = SecondsSince(t0);
   out.metrics.wall_seconds = out.wall_seconds;
+  out.metrics.spill_bytes = out.spill_bytes;
+  out.metrics.peak_memory_bytes = out.peak_tracked_bytes;
   return out;
 }
 

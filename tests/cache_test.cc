@@ -1,12 +1,14 @@
 // Plan/result cache behavior: hit/miss accounting, invalidation on
 // DDL and DML, prepared-statement rebinding across catalog changes,
 // memory-governed eviction (ResourceExhausted is never masked by a
-// cached result), the concurrent hit-storm determinism contract, and
-// cancellation never poisoning the cache. Selected with
+// cached result), the concurrent hit-storm determinism contract,
+// cancellation never poisoning the cache, and the one planner/runner
+// every SELECT-shaped statement shares. Selected with
 // `ctest -L cache`; scripts/fuzz.sh (ASan) and scripts/stress.sh
 // (TSan) rerun the label.
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "api/database.h"
+#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "parser/normalize.h"
 #include "service/session.h"
 
@@ -224,6 +228,122 @@ TEST(PlanCacheTest, ExplainAnalyzeReportsCacheState) {
   ASSERT_TRUE(second.ok());
   const std::string warm = second->rows.back()[0].string_value();
   EXPECT_NE(warm.find("cache=plan-hit"), std::string::npos) << warm;
+}
+
+// --- one planner, one runner -------------------------------------------
+
+/// Metrics on, result cache off (so every SELECT reaches the planner),
+/// one small table.
+std::unique_ptr<Database> PlannerTestDb(bool tracing = false) {
+  Database::Config cfg = MetricsConfig();
+  cfg.cache.enable_result_cache = false;
+  cfg.obs.enable_tracing = tracing;
+  auto db = std::make_unique<Database>(cfg);
+  EXPECT_TRUE(Exec(db.get(),
+                   "CREATE TABLE t (k INTEGER, v DOUBLE); "
+                   "INSERT INTO t VALUES (1, 1.5), (2, 2.5), (2, 3.5), "
+                   "(3, 4.5)")
+                  .ok());
+  return db;
+}
+
+/// The most recent telemetry record (one per Execute call).
+obs::QueryRecord LastRecord(Database* db) {
+  return db->telemetry_store()->SnapshotQueries().back();
+}
+
+uint64_t Counter(Database* db, const std::string& name) {
+  return db->metrics_registry()->counter(name)->value();
+}
+
+TEST(PlanAndRunTest, SelectAndExplainAnalyzeRunTheSameOperators) {
+  auto db = PlannerTestDb();
+  const std::string sql = "SELECT k, SUM(v) FROM t WHERE k > 1 GROUP BY k";
+  auto select = db->Execute(sql);
+  ASSERT_TRUE(select.ok()) << select.status();
+  const obs::QueryRecord select_record = LastRecord(db.get());
+  auto analyze = db->Execute("EXPLAIN ANALYZE " + sql);
+  ASSERT_TRUE(analyze.ok()) << analyze.status();
+  const obs::QueryRecord analyze_record = LastRecord(db.get());
+
+  const QueryMetrics& a = select->statements.back();
+  const QueryMetrics& b = analyze->statements.back();
+  ASSERT_FALSE(a.operators.empty());
+  ASSERT_EQ(a.operators.size(), b.operators.size());
+  for (size_t i = 0; i < a.operators.size(); ++i) {
+    EXPECT_EQ(a.operators[i].name, b.operators[i].name) << i;
+    EXPECT_EQ(a.operators[i].rows_out, b.operators[i].rows_out) << i;
+  }
+  ASSERT_EQ(select_record.operators.size(), a.operators.size());
+  ASSERT_EQ(analyze_record.operators.size(), a.operators.size());
+  for (size_t i = 0; i < a.operators.size(); ++i) {
+    EXPECT_EQ(select_record.operators[i].name,
+              analyze_record.operators[i].name)
+        << i;
+    EXPECT_EQ(select_record.operators[i].actual_rows,
+              analyze_record.operators[i].actual_rows)
+        << i;
+    EXPECT_EQ(select_record.operators[i].actual_rows,
+              static_cast<int64_t>(a.operators[i].rows_out))
+        << i;
+  }
+}
+
+TEST(PlanAndRunTest, PlanCacheCountsAcrossStatementKinds) {
+  auto db = PlannerTestDb();
+  const uint64_t hits0 = Counter(db.get(), "cache.plan_hits");
+  const uint64_t misses0 = Counter(db.get(), "cache.plan_misses");
+  // Each step: statement, then the call's record.cache_plan_hits and
+  // the cumulative plan hit/miss counters after it.
+  struct Step {
+    std::string sql;
+    int64_t record_hits;
+    uint64_t hits;
+    uint64_t misses;
+  };
+  const std::vector<Step> steps = {
+      {"SELECT k FROM t WHERE k > 1", 0, 0, 1},
+      {"SELECT k FROM t WHERE k > 1", 1, 1, 1},
+      // EXPLAIN ANALYZE plans under its own normalized text.
+      {"EXPLAIN ANALYZE SELECT k FROM t WHERE k > 1", 0, 1, 2},
+      {"EXPLAIN ANALYZE SELECT k FROM t WHERE k > 1", 1, 2, 2},
+      {"PREPARE p AS SELECT k FROM t WHERE k = ?", 0, 2, 2},
+      // EXECUTE counts its prepared-template reuse as a plan hit.
+      {"EXECUTE p(2)", 0, 2, 3},
+      {"EXECUTE p(2)", 1, 3, 3},
+  };
+  for (const Step& step : steps) {
+    ASSERT_TRUE(Exec(db.get(), step.sql).ok()) << step.sql;
+    EXPECT_EQ(LastRecord(db.get()).cache_plan_hits, step.record_hits)
+        << step.sql;
+    EXPECT_EQ(Counter(db.get(), "cache.plan_hits") - hits0, step.hits)
+        << step.sql;
+    EXPECT_EQ(Counter(db.get(), "cache.plan_misses") - misses0, step.misses)
+        << step.sql;
+  }
+}
+
+TEST(PlanAndRunTest, PlainExplainTracesBindAndOptimizeWithoutTheCache) {
+  auto db = PlannerTestDb(/*tracing=*/true);
+  const uint64_t hits0 = Counter(db.get(), "cache.plan_hits");
+  const uint64_t misses0 = Counter(db.get(), "cache.plan_misses");
+  const size_t entries0 = db->plan_cache()->entries();
+  for (int run = 0; run < 2; ++run) {
+    auto explain = db->Execute("EXPLAIN SELECT k FROM t WHERE k > 1");
+    ASSERT_TRUE(explain.ok()) << explain.status();
+    ASSERT_FALSE(explain->last().rows.empty());
+    bool bind = false, optimize = false;
+    for (const obs::Span& span : db->tracer()->spans()) {
+      bind = bind || span.name == "bind";
+      optimize = optimize || span.name == "optimize";
+    }
+    EXPECT_TRUE(bind) << "run " << run;
+    EXPECT_TRUE(optimize) << "run " << run;
+    EXPECT_EQ(LastRecord(db.get()).cache_plan_hits, 0);
+  }
+  EXPECT_EQ(Counter(db.get(), "cache.plan_hits"), hits0);
+  EXPECT_EQ(Counter(db.get(), "cache.plan_misses"), misses0);
+  EXPECT_EQ(db->plan_cache()->entries(), entries0);
 }
 
 TEST(PreparedTest, ExecuteBindsParamsAndReusesTemplate) {

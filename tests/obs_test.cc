@@ -314,21 +314,18 @@ TEST(TracerTest, ConcurrentCompleteSpansAllRecorded) {
 
 // --- estimation error -------------------------------------------------
 
-TEST(QueryMetricsTest, MaxEstimationError) {
-  QueryMetrics qm;
+TEST(OperatorMetricsTest, EstimationError) {
   OperatorMetrics exact;
   exact.rows_out = 100;
   exact.estimated_rows = 100.0;
   OperatorMetrics off_by_4;
   off_by_4.rows_out = 25;
   off_by_4.estimated_rows = 100.0;
-  OperatorMetrics unestimated;  // estimated_rows == 0 -> ignored
+  OperatorMetrics unestimated;  // estimated_rows == 0 -> no estimate
   unestimated.rows_out = 1000;
-  qm.operators = {exact, off_by_4, unestimated};
-  EXPECT_DOUBLE_EQ(qm.operators[0].EstimationError(), 1.0);
-  EXPECT_DOUBLE_EQ(qm.operators[1].EstimationError(), 4.0);
-  EXPECT_DOUBLE_EQ(qm.operators[2].EstimationError(), 0.0);
-  EXPECT_DOUBLE_EQ(qm.MaxEstimationError(), 4.0);
+  EXPECT_DOUBLE_EQ(exact.EstimationError(), 1.0);
+  EXPECT_DOUBLE_EQ(off_by_4.EstimationError(), 4.0);
+  EXPECT_DOUBLE_EQ(unestimated.EstimationError(), 0.0);
 }
 
 // --- end-to-end through a Database ------------------------------------

@@ -106,7 +106,7 @@ TEST_F(OptimizerSection41Test, LaAwarePlanMovesFarFewerBytes) {
     auto rs = db.Execute(kQuery);
     ASSERT_TRUE(rs.ok()) << rs.status();
     naive_result = rs->last().at(0, 0).matrix();
-    for (const auto& op : rs->statements.back().metrics.operators) {
+    for (const auto& op : rs->statements.back().operators) {
       naive_bytes += op.bytes_out;
     }
   }
@@ -117,7 +117,7 @@ TEST_F(OptimizerSection41Test, LaAwarePlanMovesFarFewerBytes) {
     ASSERT_TRUE(rs.ok()) << rs.status();
     aware_result = rs->last().at(0, 0).matrix();
     ASSERT_EQ(rs->last().num_rows(), 100u);
-    for (const auto& op : rs->statements.back().metrics.operators) {
+    for (const auto& op : rs->statements.back().operators) {
       aware_bytes += op.bytes_out;
     }
   }

@@ -10,7 +10,6 @@
 #include "test_util.h"
 #include "common/rng.h"
 #include "la/random.h"
-#include "la/tiled.h"
 #include "mem/memory_tracker.h"
 #include "storage/serialize.h"
 
@@ -190,35 +189,6 @@ TEST(TiledSqlTest, SixteenMbBudgetSpillsAndStaysBitIdentical) {
 }
 
 // ----------------------------------------------------------------------
-// Tiled-matrix intermediates (LRU tile eviction).
-// ----------------------------------------------------------------------
-
-TEST(TileEvictionTest, BudgetedTiledMultiplyIsBitIdentical) {
-  Rng rng(7);
-  la::Matrix a = la::RandomMatrix(rng, 64, 64);
-  la::Matrix b = la::RandomMatrix(rng, 64, 64);
-  const auto ta = la::SplitIntoTiles(a, 16, 16);
-  const auto tb = la::SplitIntoTiles(b, 16, 16);
-  auto ref_tiles = la::TiledMultiply(ta, tb);
-  ASSERT_TRUE(ref_tiles.ok());
-  auto ref = la::AssembleTiles(*ref_tiles);
-  ASSERT_TRUE(ref.ok());
-
-  // 16 accumulator tiles of 2 KB each want 32 KB; an 8 KB budget
-  // forces LRU evictions to disk and bit-exact reloads.
-  mem::MemoryTracker tracker("query", 8u << 10);
-  la::TiledOptions options;
-  options.tracker = &tracker;
-  auto got_tiles = la::TiledMultiply(ta, tb, options);
-  ASSERT_TRUE(got_tiles.ok()) << got_tiles.status();
-  auto got = la::AssembleTiles(*got_tiles);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->MaxAbsDiff(*ref), 0.0);
-  EXPECT_GT(tracker.spill_bytes(), 0u);
-  EXPECT_EQ(tracker.bytes_in_use(), 0u);  // everything handed back
-}
-
-// ----------------------------------------------------------------------
 // Unspillable over-budget state fails the query, not the Database.
 // ----------------------------------------------------------------------
 
@@ -272,7 +242,7 @@ TEST(ScriptResultTest, CarriesAllSelectResultsAndPerStatementStats) {
   EXPECT_EQ(script->last().at(0, 0).int_value(), 6);
   EXPECT_EQ(script->statements[2].rows, 3u);
   EXPECT_EQ(script->statements[3].rows, 1u);
-  for (const QueryStats& stats : script->statements) {
+  for (const QueryMetrics& stats : script->statements) {
     EXPECT_GE(stats.wall_seconds, 0.0);
   }
 }

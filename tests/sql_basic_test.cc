@@ -217,7 +217,7 @@ TEST_F(SqlBasicTest, IntegerDivisionTruncates) {
 TEST_F(SqlBasicTest, MetricsPopulated) {
   auto rs = db_.Execute("SELECT c, SUM(a) FROM t GROUP BY c");
   ASSERT_TRUE(rs.ok()) << rs.status();
-  const QueryMetrics& m = rs->statements.back().metrics;
+  const QueryMetrics& m = rs->statements.back();
   EXPECT_GT(m.operators.size(), 0u);
   bool saw_aggregate = false;
   for (const auto& op : m.operators) {
@@ -248,7 +248,7 @@ TEST_F(SqlBasicTest, ExplainAnalyzeAnnotatesEveryNode) {
   EXPECT_NE(text.find("wall time:"), std::string::npos) << text;
   // EXPLAIN ANALYZE executed the query, so the statement's metrics
   // are the run it reports.
-  const QueryMetrics& m = script->statements.back().metrics;
+  const QueryMetrics& m = script->statements.back();
   EXPECT_GT(m.operators.size(), 0u);
   EXPECT_GT(m.wall_seconds, 0.0);
   // The Scan annotation carries that operator's actual row count.

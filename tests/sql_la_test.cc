@@ -430,7 +430,7 @@ TEST(SqlLaTest, ExplainAnalyzeOuterProductAgreesWithLastMetrics) {
   EXPECT_NE(text.find("actual rows=1"), std::string::npos) << text;  // agg
 
   // The footer totals are the same numbers the statement's stats report.
-  const QueryMetrics& m = script->statements.back().metrics;
+  const QueryMetrics& m = script->statements.back();
   EXPECT_GT(m.operators.size(), 0u);
   EXPECT_NE(
       text.find("total shuffled: " +
@@ -469,7 +469,7 @@ TEST(SqlLaTest, ExplainAnalyzeGramSplitsJoinAndAggregateTime) {
   EXPECT_NE(text.find("Join"), std::string::npos) << text;
   EXPECT_NE(text.find("Aggregate"), std::string::npos) << text;
 
-  const QueryMetrics& m = script->statements.back().metrics;
+  const QueryMetrics& m = script->statements.back();
   const double join_s = m.SecondsForOperatorsContaining("Join");
   const double agg_s = m.SecondsForOperatorsContaining("Aggregate");
   EXPECT_GT(join_s, 0.0);
