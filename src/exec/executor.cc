@@ -166,6 +166,14 @@ Status MakeHeadroom(const MemoryContext& mem, size_t needed,
   return Status::OK();
 }
 
+/// Bytes of the budget's unspillable pool not yet reserved — what a
+/// hard reserve of operator state can still get. Needs a budget.
+size_t UnspillableHeadroom(const MemoryContext& mem) {
+  const size_t budget = mem.tracker->budget();
+  const size_t pinned = mem.tracker->unspillable_bytes();
+  return pinned >= budget ? 0 : budget - pinned;
+}
+
 }  // namespace
 
 SpillableDist Executor::NewDist(size_t n) const {
@@ -988,7 +996,10 @@ Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op) {
       // sub-build's equal_range chains equal the monolithic table's.
       // Probe rows carry their arrival sequence; merging sub-partition
       // outputs by that sequence restores the exact probe-major output
-      // order — budgeted results stay bit-identical.
+      // order — budgeted results stay bit-identical. A worker falls back
+      // to Grace only when the builds run one worker at a time (below),
+      // so each sub-build's hard reserve sees the whole unspillable
+      // headroom, as at 1 thread.
       auto grace = [&](size_t wkr, mem::MemoryTracker& wt, size_t* spill_b,
                        size_t* spill_r) -> Status {
         SpillableDist bparts = NewDist(kGraceFanout);
@@ -1094,21 +1105,37 @@ Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op) {
         return Status::OK();
       };
 
-      std::vector<size_t> grace_spill_b(w, 0), grace_spill_r(w, 0);
-      RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
-        const auto t0 = Clock::now();
-        size_t build_bytes = 0, build_rows = 0;
+      // All builds draw on the query's one unspillable pool, so
+      // concurrent workers could push each other's builds (and Grace
+      // sub-builds) over the budget, and the classic-or-Grace choice
+      // and success itself would depend on thread interleaving. The
+      // budgeted outcome is the one a 1-thread run reaches, where each
+      // worker has the whole headroom to itself: when all builds fit
+      // together, every worker builds in memory and the region runs in
+      // parallel; otherwise the workers run one after another.
+      std::vector<size_t> build_rows(w, 0), build_charge(w, 0);
+      size_t all_builds = 0;
+      for (size_t wkr = 0; wkr < w; ++wkr) {
+        size_t bytes = 0;
         for (size_t src = 0; src < right_runs.size(); ++src) {
-          build_bytes += right_runs[src][wkr].byte_size();
-          build_rows += right_runs[src][wkr].num_rows();
+          bytes += right_runs[src][wkr].byte_size();
+          build_rows[wkr] += right_runs[src][wkr].num_rows();
         }
+        build_charge[wkr] = bytes + build_rows[wkr] * kHashEntryOverhead;
+        all_builds += build_charge[wkr];
+      }
+      const bool serial_builds =
+          mem_.has_budget() && all_builds > UnspillableHeadroom(mem_);
+
+      std::vector<size_t> grace_spill_b(w, 0), grace_spill_r(w, 0);
+      auto build_probe = [&](size_t wkr) -> Status {
+        const auto t0 = Clock::now();
         bool classic = true;
         std::optional<mem::MemoryTracker> wt;
         if (mem_.tracker != nullptr) {
           wt.emplace("HashJoin build (worker " + std::to_string(wkr) + ")",
                      mem_.tracker);
-          classic =
-              wt->TryReserve(build_bytes + build_rows * kHashEntryOverhead);
+          classic = wt->TryReserve(build_charge[wkr]);
         }
         if (classic) {
           // In-memory path: materialize the build side in source
@@ -1116,7 +1143,7 @@ Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op) {
           // exact behavior. The worker tracker releases the build
           // charge when it goes out of scope.
           std::vector<std::pair<KeyRow, Row>> build;
-          build.reserve(build_rows);
+          build.reserve(build_rows[wkr]);
           for (size_t src = 0; src < right_runs.size(); ++src) {
             RADB_RETURN_NOT_OK(
                 ConsumeRows(right_runs[src][wkr], [&](Row row) -> Status {
@@ -1145,7 +1172,14 @@ Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op) {
         }
         m->worker_seconds[wkr] += SecondsSince(t0);
         return Status::OK();
-      }));
+      };
+      if (serial_builds) {
+        for (size_t wkr = 0; wkr < w; ++wkr) {
+          RADB_RETURN_NOT_OK(build_probe(wkr));
+        }
+      } else {
+        RADB_RETURN_NOT_OK(ForEachWorker(w, build_probe));
+      }
       for (size_t wkr = 0; wkr < w; ++wkr) {
         m->bytes_spilled += grace_spill_b[wkr];
         m->spill_runs += grace_spill_r[wkr];

@@ -65,7 +65,11 @@ size_t SpillDistRowCount(const SpillableDist& d);
 /// unadmitted groups for later passes. State that cannot spill (sort
 /// buffers, DISTINCT sets, broadcast tables, aggregate accumulator
 /// growth) reserves hard and fails the query with ResourceExhausted,
-/// leaving the Database healthy.
+/// leaving the Database healthy. The per-worker join builds share the
+/// query's one unspillable pool, so they run in parallel only when
+/// all of them fit it together, and one worker at a time otherwise:
+/// a budgeted join makes the same classic-or-Grace choices, and
+/// succeeds or fails alike, at every thread count.
 /// Engine selection knobs, threaded down from Database::Config.
 struct ExecOptions {
   /// Master switch for the columnar batch engine. Even when on, a

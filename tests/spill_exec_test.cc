@@ -12,6 +12,7 @@
 #include "la/random.h"
 #include "mem/memory_tracker.h"
 #include "storage/serialize.h"
+#include "testing/differ.h"
 
 namespace radb {
 namespace {
@@ -85,6 +86,46 @@ TEST_F(SpillJoinTest, GraceSpillIsBitIdenticalAt1And8Threads) {
     // The tracked peak respects the budget (replay windows and single
     // oversized items may overshoot it slightly, never unboundedly).
     EXPECT_LT(got->statements.back().peak_memory_bytes, 2 * kTinyBudget);
+  }
+}
+
+// A self-join whose 40 keys carry 100 build rows each: no worker's
+// whole build fits 64 KB, but every Grace sub-build (one key, ~7 KB)
+// fits on its own. Concurrent workers must not push each other's
+// sub-builds over the shared unspillable pool, so the budgeted run
+// succeeds, spills and matches the unbudgeted result at every pool
+// size — not only at the ones that happen to serialize the builds.
+TEST(SpillJoinThreadsTest, BudgetedJoinOutcomeIsThreadCountIndependent) {
+  const std::string sql =
+      "SELECT a.k, COUNT(*) FROM big a, big b WHERE a.k = b.k GROUP BY a.k";
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    Database::Config config = SpillConfig();
+    config.num_threads = threads;
+    Database db(config);
+    ASSERT_TRUE(Exec(db, "CREATE TABLE big (k INTEGER, pad STRING)").ok());
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 4000; ++i) {
+      rows.push_back(
+          {Value::Int(i % 40), Value::String(std::string(100, 'p'))});
+    }
+    ASSERT_TRUE(db.BulkInsert("big", std::move(rows)).ok());
+    auto ref = Exec(db, sql);
+    ASSERT_TRUE(ref.ok()) << ref.status();
+    ASSERT_EQ(ref->num_rows(), 40u);
+    auto got = db.Execute(
+        sql, QueryOptions{.memory_budget_bytes = kTinyBudget});
+    // Report every failing pool size, not only the first.
+    if (!got.ok() || !got->has_results()) {
+      ADD_FAILURE() << "threads=" << threads << ": " << got.status();
+      continue;
+    }
+    // Cell-exact, as the differential fuzzer compares: the query has no
+    // ORDER BY, so its row order is unspecified.
+    EXPECT_TRUE(radb::testing::SameCells(
+        radb::testing::Normalized(got->last().rows),
+        radb::testing::Normalized(ref->rows)))
+        << "threads=" << threads;
+    EXPECT_GT(got->statements.back().spill_bytes, 0u) << "threads=" << threads;
   }
 }
 
